@@ -2,6 +2,7 @@ package crossfield
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -412,34 +413,6 @@ func (a *Archive) PayloadReader(name string) (*io.SectionReader, error) {
 	return a.arc.PayloadSection(i)
 }
 
-// DecodeField decompresses the named field against explicitly supplied
-// anchor reconstructions (in the field's Anchors order), bypassing the
-// Archive's internal unbounded cache. It is the per-field decode hook for
-// serving layers that manage their own bounded caches; most callers want
-// Field, which materializes and caches anchors automatically.
-func (a *Archive) DecodeField(name string, anchors []*Field) (*Field, error) {
-	i, ok := a.arc.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("crossfield: archive has no field %q (have %v)", name, a.Fields())
-	}
-	e := a.arc.Entries[i]
-	if len(anchors) != len(e.Deps) {
-		return nil, fmt.Errorf("crossfield: field %q needs %d anchors %v, got %d", name, len(e.Deps), e.Deps, len(anchors))
-	}
-	payload, err := a.arc.Payload(i)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.Decompress(payload, fieldTensors(anchors))
-	if err != nil {
-		return nil, fmt.Errorf("crossfield: field %q: %w", name, err)
-	}
-	if !slices.Equal(t.Shape(), e.Dims) {
-		return nil, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", name, t.Shape(), e.Dims)
-	}
-	return &Field{Name: e.Name, t: t}, nil
-}
-
 // FieldLevels reports the named field's progressive layering by parsing
 // only its payload header and layer table — no payload data is read.
 // Non-progressive fields report a single level.
@@ -470,31 +443,7 @@ func (a *Archive) DecodeFieldAtLevel(name string, level int) (*Field, float64, e
 	if !ok {
 		return nil, 0, fmt.Errorf("crossfield: archive has no field %q (have %v)", name, a.Fields())
 	}
-	e := a.arc.Entries[i]
-	anchors := make([]*tensor.Tensor, len(e.Deps))
-	for k, dep := range e.Deps {
-		j, ok := a.arc.Lookup(dep)
-		if !ok {
-			return nil, 0, fmt.Errorf("crossfield: field %q anchor %q missing from manifest", name, dep)
-		}
-		af, err := a.materialize(j)
-		if err != nil {
-			return nil, 0, fmt.Errorf("crossfield: field %q anchor: %w", name, err)
-		}
-		anchors[k] = af.t
-	}
-	sec, err := a.arc.PayloadSection(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	t, achieved, err := core.DecompressAtLevelReader(sec, sec.Size(), anchors, level, 0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("crossfield: field %q: %w", name, err)
-	}
-	if !slices.Equal(t.Shape(), e.Dims) {
-		return nil, 0, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", name, t.Shape(), e.Dims)
-	}
-	return &Field{Name: e.Name, t: t}, achieved, nil
+	return a.decode(i, level)
 }
 
 // Field decompresses the named field. Anchors are materialized first, in
@@ -515,37 +464,49 @@ func (a *Archive) Field(name string) (*Field, error) {
 // OpenArchive time, so the once chain follows a DAG.
 func (a *Archive) materialize(i int) (*Field, error) {
 	s := &a.slots[i]
-	s.once.Do(func() {
-		e := a.arc.Entries[i]
-		anchors := make([]*tensor.Tensor, len(e.Deps))
-		for k, dep := range e.Deps {
-			j, ok := a.arc.Lookup(dep)
-			if !ok {
-				s.err = fmt.Errorf("crossfield: field %q anchor %q missing from manifest", e.Name, dep)
-				return
-			}
-			af, err := a.materialize(j)
-			if err != nil {
-				s.err = fmt.Errorf("crossfield: field %q anchor: %w", e.Name, err)
-				return
-			}
-			anchors[k] = af.t
+	s.once.Do(func() { s.f, _, s.err = a.decode(i, LevelFull) })
+	return s.f, s.err
+}
+
+// decode decompresses field i at a level against its materialized
+// anchors. The full level reads the whole payload and verifies the
+// manifest checksum; previews read only their layer prefix.
+func (a *Archive) decode(i, level int) (*Field, float64, error) {
+	e := a.arc.Entries[i]
+	anchors := make([]*tensor.Tensor, len(e.Deps))
+	for k, dep := range e.Deps {
+		j, ok := a.arc.Lookup(dep)
+		if !ok {
+			return nil, 0, fmt.Errorf("crossfield: field %q anchor %q missing from manifest", e.Name, dep)
 		}
+		af, err := a.materialize(j)
+		if err != nil {
+			return nil, 0, fmt.Errorf("crossfield: field %q anchor: %w", e.Name, err)
+		}
+		anchors[k] = af.t
+	}
+	var src io.ReaderAt
+	var size int64
+	if level == LevelFull {
 		payload, err := a.arc.Payload(i)
 		if err != nil {
-			s.err = err
-			return
+			return nil, 0, err
 		}
-		t, err := core.Decompress(payload, anchors)
+		src, size = bytes.NewReader(payload), int64(len(payload))
+	} else {
+		sec, err := a.arc.PayloadSection(i)
 		if err != nil {
-			s.err = fmt.Errorf("crossfield: field %q: %w", e.Name, err)
-			return
+			return nil, 0, err
 		}
-		if !slices.Equal(t.Shape(), e.Dims) {
-			s.err = fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", e.Name, t.Shape(), e.Dims)
-			return
-		}
-		s.f = &Field{Name: e.Name, t: t}
-	})
-	return s.f, s.err
+		src, size = sec, sec.Size()
+	}
+	t, _, achieved, err := core.Decode(context.TODO(), src, size, anchors,
+		core.Request{Chunk: core.WholeField, Level: level})
+	if err != nil {
+		return nil, 0, fmt.Errorf("crossfield: field %q: %w", e.Name, err)
+	}
+	if !slices.Equal(t.Shape(), e.Dims) {
+		return nil, 0, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", e.Name, t.Shape(), e.Dims)
+	}
+	return &Field{Name: e.Name, t: t}, achieved, nil
 }

@@ -282,27 +282,10 @@ func TestOptionValidation(t *testing.T) {
 		crossfield.WithWorkers(-3)); err == nil {
 		t.Fatal("WithWorkers(-3) accepted")
 	}
-	if _, err := crossfield.CompressBaseline(f, crossfield.Abs(0.01),
-		crossfield.ChunkOptions{ChunkVoxels: -5}); err == nil {
-		t.Fatal("negative ChunkOptions.ChunkVoxels accepted")
-	}
-	if _, err := crossfield.CompressBaseline(f, crossfield.Abs(0.01),
-		crossfield.ChunkOptions{Workers: -1}); err == nil {
-		t.Fatal("negative ChunkOptions.Workers accepted")
-	}
 	_, err := crossfield.CompressBaseline(f, crossfield.Abs(0.01),
 		crossfield.WithFieldBound("X", crossfield.Abs(0.1)))
 	if err == nil || !strings.Contains(err.Error(), "CompressDataset") {
 		t.Fatalf("WithFieldBound on a single-field call: err = %v", err)
-	}
-	// The deprecated struct still works as an Option on the happy path.
-	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.01),
-		crossfield.ChunkOptions{ChunkVoxels: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := crossfield.ChunkCount(res.Blob); err != nil || n < 2 {
-		t.Fatalf("ChunkCount = %d, %v", n, err)
 	}
 }
 

@@ -25,10 +25,7 @@ func chunkedTestField(t *testing.T, nz, ny, nx int) *crossfield.Field {
 func TestChunkedBaselineAPI(t *testing.T) {
 	f := chunkedTestField(t, 9, 20, 24)
 	bound := crossfield.Rel(1e-3)
-	res, err := crossfield.CompressBaseline(f, bound, crossfield.ChunkOptions{
-		ChunkVoxels: 2 * 20 * 24,
-		Workers:     3,
-	})
+	res, err := crossfield.CompressBaseline(f, bound, crossfield.WithChunks(2*20*24), crossfield.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestChunkedHybridAPI(t *testing.T) {
 	bound := crossfield.Abs(0.05)
 	// Baseline-compress the anchor (chunked, for good measure) and use its
 	// reconstruction on both sides, as the package contract requires.
-	aComp, err := crossfield.CompressBaseline(anchor, bound, crossfield.ChunkOptions{ChunkVoxels: 16 * 16})
+	aComp, err := crossfield.CompressBaseline(anchor, bound, crossfield.WithChunks(16*16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +85,7 @@ func TestChunkedHybridAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchors := []*crossfield.Field{aDec}
-	res, err := codec.Compress(target, anchors, bound, crossfield.ChunkOptions{ChunkVoxels: 3 * 16 * 16})
+	res, err := codec.Compress(target, anchors, bound, crossfield.WithChunks(3*16*16))
 	if err != nil {
 		t.Fatal(err)
 	}

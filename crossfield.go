@@ -81,14 +81,13 @@
 //	n, _ := crossfield.ChunkCount(res.Blob)
 //	part, start, _ := crossfield.DecompressChunk("W", res.Blob, 2, nil)
 //
-// The legacy ChunkOptions struct still satisfies Option, so pre-existing
-// call sites keep compiling; new code should use the With* options.
 // Decompress accepts every container format transparently (monolithic
 // CFC1, chunked CFC2), and chunk seams honor the same error bound as the
 // monolithic pipeline (the bound is resolved once over the full field).
 package crossfield
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -190,11 +189,19 @@ func CompressBaseline(f *Field, bound ErrorBound, opts ...Option) (*Compressed, 
 // compression time, in the same order. Monolithic CFC1 blobs and chunked
 // CFC2 containers are both accepted.
 func Decompress(name string, blob []byte, anchors []*Field) (*Field, error) {
-	t, err := core.Decompress(blob, fieldTensors(anchors))
+	f, _, _, err := decode(name, blob, anchors, core.WholeField, LevelFull)
+	return f, err
+}
+
+// decode runs the one decode pipeline, core.Decode, over an in-memory
+// blob.
+func decode(name string, blob []byte, anchors []*Field, chunk, level int) (*Field, int, float64, error) {
+	t, start, achieved, err := core.Decode(context.TODO(), bytes.NewReader(blob), int64(len(blob)),
+		fieldTensors(anchors), core.Request{Chunk: chunk, Level: level})
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return &Field{Name: name, t: t}, nil
+	return &Field{Name: name, t: t}, start, achieved, nil
 }
 
 // ChunkCount returns how many independently decodable chunks a blob holds
@@ -234,11 +241,20 @@ func PayloadLevelBytes(blob []byte) ([]int64, error) { return core.PayloadLevelB
 // accept only level 0 and decode in full). The full level is bit-identical
 // to Decompress of the same blob.
 func DecompressAtLevel(name string, blob []byte, anchors []*Field, level int) (*Field, float64, error) {
-	t, achieved, err := core.DecompressAtLevel(blob, fieldTensors(anchors), level)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, achieved, nil
+	f, _, achieved, err := decode(name, blob, anchors, core.WholeField, level)
+	return f, achieved, err
+}
+
+// DecompressChunk reconstructs only chunk i of a chunked CFC2 container,
+// without reading any other chunk's payload. It returns the chunk field
+// and its starting index along axis 0 (in slabs: rows for 2D, z-planes for
+// 3D). Hybrid containers need the same full-field decompressed anchors
+// used at compression time — only the chunk's region of them is
+// consulted — or anchor slabs covering just the chunk (the chunk's dims),
+// which reconstruct bit-identically.
+func DecompressChunk(name string, blob []byte, i int, anchors []*Field) (*Field, int, error) {
+	f, start, _, err := decode(name, blob, anchors, i, LevelFull)
+	return f, start, err
 }
 
 // DecompressChunkAtLevel is DecompressChunk at a progressive level: only
@@ -246,86 +262,7 @@ func DecompressAtLevel(name string, blob []byte, anchors []*Field, level int) (*
 // starting slab along axis 0, and the chunk's recorded achieved max error
 // at that level.
 func DecompressChunkAtLevel(name string, blob []byte, i, level int, anchors []*Field) (*Field, int, float64, error) {
-	t, start, achieved, err := core.DecompressChunkAtLevel(blob, i, level, fieldTensors(anchors))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return &Field{Name: name, t: t}, start, achieved, nil
-}
-
-// DecompressChunkSlabAtLevelCtx is DecompressChunkSlabCtx at a progressive
-// level — the serving layer's preview decode: anchor data covers only
-// chunk i's slab range, and only the layers the level needs are consumed
-// and CRC-verified.
-func DecompressChunkSlabAtLevelCtx(ctx context.Context, name string, blob []byte, i, level int, anchorSlabs []*Field) (*Field, int, float64, error) {
-	t, start, achieved, err := core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, blob, i, level, fieldTensors(anchorSlabs))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return &Field{Name: name, t: t}, start, achieved, nil
-}
-
-// DecompressChunked is Decompress with an explicit bound on how many
-// chunks decompress concurrently (workers <= 0 means GOMAXPROCS). Plain
-// Decompress already handles CFC2 at full width; this exists for callers
-// that must cap decode parallelism. Monolithic CFC1 blobs are accepted
-// and decode on one goroutine as usual.
-func DecompressChunked(name string, blob []byte, anchors []*Field, workers int) (*Field, error) {
-	t, err := core.DecompressChunkedWith(blob, fieldTensors(anchors), workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Field{Name: name, t: t}, nil
-}
-
-// DecompressChunk reconstructs only chunk i of a chunked CFC2 container,
-// without reading any other chunk's payload. It returns the chunk field
-// and its starting index along axis 0 (in slabs: rows for 2D, z-planes for
-// 3D). Hybrid containers need the same full-field decompressed anchors
-// used at compression time; only the chunk's region of them is consulted.
-func DecompressChunk(name string, blob []byte, i int, anchors []*Field) (*Field, int, error) {
-	t, start, err := core.DecompressChunk(blob, i, fieldTensors(anchors))
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
-}
-
-// DecompressChunkWith is DecompressChunk with an explicit bound on the
-// worker pool used to decode block-coded (CFC2 v3 / CFC1 v2) payloads;
-// workers <= 0 means GOMAXPROCS. Payloads without block coding decode
-// sequentially regardless. This is the single-chunk decode-latency knob:
-// block-coded chunks reconstruct wavefront- or block-parallel, and the
-// result is byte-identical at any worker count.
-func DecompressChunkWith(name string, blob []byte, i int, anchors []*Field, workers int) (*Field, int, error) {
-	t, start, err := core.DecompressChunkWith(blob, i, fieldTensors(anchors), workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
-}
-
-// DecompressChunkSlab is DecompressChunk for callers that hold anchor data
-// covering only chunk i's slab range rather than whole anchor fields: each
-// anchorSlab must have the chunk's dims (the field dims with axis 0 cut to
-// the chunk's slab count). Reconstruction is bit-identical to
-// DecompressChunk with full anchors — random access consults exactly that
-// region — which is what lets serving layers answer a dependent-chunk
-// request by decoding only the anchor chunks the request touches.
-func DecompressChunkSlab(name string, blob []byte, i int, anchorSlabs []*Field) (*Field, int, error) {
-	return DecompressChunkSlabCtx(context.Background(), name, blob, i, anchorSlabs)
-}
-
-// DecompressChunkSlabCtx is DecompressChunkSlab with request-scoped
-// cancellation: block-coded payloads check ctx between decode blocks and
-// wavefront fronts, so a serving request whose client has gone away
-// stops decoding at the next boundary and returns ctx.Err().
-func DecompressChunkSlabCtx(ctx context.Context, name string, blob []byte, i int, anchorSlabs []*Field) (*Field, int, error) {
-	t, start, err := core.DecompressChunkWithAnchorSlabsCtx(ctx, blob, i, fieldTensors(anchorSlabs))
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
+	return decode(name, blob, anchors, i, level)
 }
 
 // Training configures CFNN training.

@@ -1,6 +1,8 @@
 package crossfield_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -10,6 +12,8 @@ import (
 	"testing"
 
 	crossfield "repro"
+	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // The golden fixtures under testdata/golden pin every container format
@@ -393,23 +397,6 @@ func TestGoldenCFC2V3Blocks(t *testing.T) {
 		t.Fatalf("CFC2 v3 golden blob no longer decodes: %v", err)
 	}
 	requireExact(t, "CFC2v3", back, "chunked_cfc2.f32")
-	// Parallel single-chunk random access must agree with the full
-	// reconstruction at every worker count the server uses.
-	for _, workers := range []int{1, 2, 4} {
-		part, start, err := crossfield.DecompressChunkWith("W", blob, 1, nil, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if start != 2 {
-			t.Fatalf("chunk 1 start = %d, want 2", start)
-		}
-		slab := 10 * 12
-		for i, v := range part.Data() {
-			if v != back.Data()[start*slab+i] {
-				t.Fatalf("workers=%d: chunk decode differs from full decode at %d", workers, i)
-			}
-		}
-	}
 }
 
 func TestGoldenCFC3Archive(t *testing.T) {
@@ -468,22 +455,6 @@ func TestGoldenCFC1V3Layered(t *testing.T) {
 	for i, v := range full.Data() {
 		if v != back.Data()[i] {
 			t.Fatalf("full-level decode differs from Decompress at %d", i)
-		}
-	}
-	// Every preview level must honor the bound its layer table advertises
-	// against the deterministic source field (absolute bound 0.05).
-	src := goldenField()
-	for l := 0; l < spec.Levels; l++ {
-		part, achieved, err := crossfield.DecompressAtLevel("W", blob, nil, l)
-		if err != nil {
-			t.Fatalf("level %d no longer decodes: %v", l, err)
-		}
-		bound := spec.Bound(l, 0.05)
-		if achieved > bound {
-			t.Fatalf("level %d: recorded max error %g over advertised bound %g", l, achieved, bound)
-		}
-		if maxErr, ok, err := crossfield.Verify(src, part, bound); err != nil || !ok {
-			t.Fatalf("level %d: maxErr=%g over advertised bound %g (ok=%v err=%v)", l, maxErr, bound, ok, err)
 		}
 	}
 }
@@ -586,6 +557,149 @@ func TestGoldenCFC3V3LayeredArchive(t *testing.T) {
 	}
 	if maxErr, ok, err := crossfield.Verify(target, f0, bound); err != nil || !ok {
 		t.Fatalf("W base level: maxErr=%g over bound %g (ok=%v err=%v)", maxErr, bound, ok, err)
+	}
+}
+
+// goldenPayload is one compressed field the decode table walks: a bare
+// fixture blob or one field of an archive fixture, with its full-fidelity
+// expectation, its deterministic source, and the anchors it predicts from.
+type goldenPayload struct {
+	name    string
+	blob    []byte
+	want    []float32
+	src     []float32
+	dims    []int
+	absEB   float64
+	anchors []*tensor.Tensor
+}
+
+// goldenPayloads loads every fixture as decode-table input.
+func goldenPayloads(t *testing.T) []goldenPayload {
+	t.Helper()
+	floats := func(file string) []float32 {
+		b := readGolden(t, file)
+		out := make([]float32, len(b)/4)
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		}
+		return out
+	}
+	w := goldenField()
+	var out []goldenPayload
+	for _, fx := range []struct{ file, want string }{
+		{"baseline_cfc1.cfc", "baseline_cfc1.f32"},
+		{"baseline_cfc1v2.cfc", "baseline_cfc1.f32"},
+		{"baseline_cfc1v3.cfc", "baseline_cfc1.f32"},
+		{"chunked_cfc2v1.cfc", "chunked_cfc2.f32"},
+		{"chunked_cfc2v2.cfc", "chunked_cfc2.f32"},
+		{"chunked_cfc2v3.cfc", "chunked_cfc2.f32"},
+		{"chunked_cfc2v4.cfc", "chunked_cfc2.f32"},
+	} {
+		out = append(out, goldenPayload{name: fx.file, blob: readGolden(t, fx.file), want: floats(fx.want),
+			src: w.Data(), dims: w.Dims(), absEB: 0.05})
+	}
+	target, anchors := goldenDataset()
+	sources := map[string]*crossfield.Field{target.Name: target}
+	for _, a := range anchors {
+		sources[a.Name] = a
+	}
+	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc"} {
+		ar, err := crossfield.OpenArchive(readGolden(t, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range ar.Manifest() {
+			payload, err := ar.FieldPayload(fi.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := goldenPayload{name: file + "/" + fi.Name, blob: payload,
+				want: floats(fmt.Sprintf("archive_cfc3_%s.f32", fi.Name)),
+				src:  sources[fi.Name].Data(), dims: fi.Dims, absEB: fi.AbsEB}
+			for _, dep := range fi.Anchors {
+				a, err := tensor.FromSlice(floats(fmt.Sprintf("archive_cfc3_%s.f32", dep)), fi.Dims...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.anchors = append(p.anchors, a)
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestGoldenDecodeTable drives every fixture through the one decode
+// pipeline, core.Decode, at every (chunk, level, workers): the deepest
+// level must reproduce the committed expectation bit for bit, and every
+// preview must honor the bound its layer table advertises against the
+// deterministic source. One-chunk requests take whole anchor fields at
+// one worker and the chunk's anchor slabs at two, so both anchor forms
+// stay pinned.
+func TestGoldenDecodeTable(t *testing.T) {
+	if *update {
+		t.Skip("regenerating")
+	}
+	for _, p := range goldenPayloads(t) {
+		spec, err := crossfield.PayloadLevels(p.blob)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		infos, err := core.ChunkIndex(p.blob)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		slab := len(p.want) / p.dims[0]
+		levels := []int{crossfield.LevelFull}
+		for l := 0; l < spec.Levels; l++ {
+			levels = append(levels, l)
+		}
+		for ci := core.WholeField; ci < len(infos); ci++ {
+			lo, hi, dims := 0, len(p.want), p.dims
+			if ci != core.WholeField {
+				lo, hi = infos[ci].Start*slab, (infos[ci].Start+infos[ci].Slabs)*slab
+				dims = append([]int{infos[ci].Slabs}, p.dims[1:]...)
+			}
+			for _, level := range levels {
+				for _, workers := range []int{1, 2} {
+					label := fmt.Sprintf("%s chunk=%d level=%d workers=%d", p.name, ci, level, workers)
+					anchors := p.anchors
+					if ci != core.WholeField && workers == 2 {
+						anchors = nil
+						for _, a := range p.anchors {
+							s, err := tensor.FromSlice(a.Data()[lo:hi], dims...)
+							if err != nil {
+								t.Fatal(err)
+							}
+							anchors = append(anchors, s)
+						}
+					}
+					got, start, achieved, err := core.Decode(context.Background(), bytes.NewReader(p.blob), int64(len(p.blob)),
+						anchors, core.Request{Chunk: ci, Level: level, Workers: workers})
+					if err != nil {
+						t.Fatalf("%s: no longer decodes: %v", label, err)
+					}
+					if start*slab != lo || got.Len() != hi-lo {
+						t.Fatalf("%s: start %d, %d values; want values [%d,%d)", label, start, got.Len(), lo, hi)
+					}
+					if level == crossfield.LevelFull || level == spec.Levels-1 {
+						if !bytes.Equal(floatsToBytes(got.Data()), floatsToBytes(p.want[lo:hi])) {
+							t.Fatalf("%s: differs from the committed expectation: old blobs no longer decode bit-exactly", label)
+						}
+						continue
+					}
+					bound := spec.Bound(level, p.absEB)
+					if achieved > bound {
+						t.Fatalf("%s: recorded max error %g over advertised bound %g", label, achieved, bound)
+					}
+					src := crossfield.MustNewField("src", p.src[lo:hi], dims...)
+					rec := crossfield.MustNewField("rec", got.Data(), dims...)
+					if maxErr, ok, err := crossfield.Verify(src, rec, bound); err != nil || !ok {
+						t.Fatalf("%s: maxErr=%g over advertised bound %g (ok=%v err=%v)", label, maxErr, bound, ok, err)
+					}
+				}
+			}
+		}
 	}
 }
 

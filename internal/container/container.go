@@ -372,8 +372,20 @@ func (c *StreamCursor) Bytes(n int) ([]byte, error) {
 	if n < 0 || n > maxStreamSection {
 		return nil, fmt.Errorf("%w: section length %d at offset %d", c.corrupt, n, c.off)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.src, b); err != nil {
+	var b []byte
+	var err error
+	if n <= 4096 {
+		b = make([]byte, n)
+		_, err = io.ReadFull(c.src, b)
+	} else {
+		// Long sections grow with the bytes that actually arrive, so a
+		// forged length costs no more memory than the stream backs.
+		b, err = io.ReadAll(io.LimitReader(c.src, int64(n)))
+		if err == nil && len(b) < n {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
 	}
 	c.off += n

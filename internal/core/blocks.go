@@ -334,17 +334,17 @@ func chooseBlockCoding(codes []int32, alt *blockAlt, dims []int, maxSymbols int)
 // zeroOrigin is the causal horizon of wavefront blocks: the grid origin.
 var zeroOrigin = []int{0, 0, 0}
 
-// reconstructBlocks decodes a block-coded payload into q and dequantizes
-// into vals, scheduling blocks by mode: all at once for block-independent
-// payloads, front by front for wavefront ones (the barrier between fronts
-// is what publishes a front's seam planes to the next). workers <= 0
-// means GOMAXPROCS.
+// reconstructBlocks decodes the residual stream raw, cut into blocks by
+// bs, into q and dequantizes into vals (skipped when vals is nil),
+// scheduling blocks by mode: all at once for block-independent payloads,
+// front by front for wavefront ones (the barrier between fronts is what
+// publishes a front's seam planes to the next). workers <= 0 means
+// GOMAXPROCS.
 //
 // ctx is checked per block and between wavefront fronts: a canceled
 // serving request stops a multi-front decode at the next boundary
 // instead of completing work nobody will read.
-func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byte, codec *huffman.Codec, b *container.Blob, dq [][]float64, workers int, times []float64) error {
-	bs := b.Blocks
+func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byte, codec *huffman.Codec, b *container.Blob, bs *container.BlockSection, dq [][]float64, workers int, times []float64) error {
 	g, err := geomFor(b.Dims, bs.Edges)
 	if err != nil {
 		return err
@@ -415,7 +415,9 @@ func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byt
 		} else {
 			reconstructCrossBlock(q, codes, b.Dims, lo, hi, org, dq, weights, hasLor)
 		}
-		dequantizeBlock(vals, q, b.AbsEB, b.Dims, lo, hi)
+		if vals != nil {
+			dequantizeBlock(vals, q, b.AbsEB, b.Dims, lo, hi)
+		}
 		if times != nil {
 			times[bi] = time.Since(start).Seconds()
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -140,7 +141,7 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 			workers := 1 + rng.Intn(4)
 			q2 := make([]int32, n)
 			vals := make([]float32, n)
-			if err := reconstructBlocks(context.Background(), q2, vals, raw, codec, blob, dq, workers, nil); err != nil {
+			if err := reconstructBlocks(context.Background(), q2, vals, raw, codec, blob, blob.Blocks, dq, workers, nil); err != nil {
 				t.Fatalf("iter %d dims %v edges %v mode %d: reconstruct: %v", iter, dims, edges, mode.mode, err)
 			}
 			for i := range q2 {
@@ -159,18 +160,11 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 	}
 }
 
-// referenceCodes computes the sequential residual codes with the existing
-// (retained) sequential machinery: the decode side of it is
-// reconstructBaseline/reconstructCrossField, so inverting those exercises
-// the same prediction order.
+// referenceCodes computes the sequential residual codes as q − pred(q)
+// via the seam-reset helpers with the grid origin as horizon, which equal
+// the plain sequential predictors there.
 func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights []float64, method container.Method) []int32 {
 	t.Helper()
-	n := len(q)
-	codes := make([]int32, n)
-	// Derive codes by running the sequential reconstruction in reverse:
-	// reconstruct q' from codes=0 is wrong, so instead compute codes as
-	// q − pred(q) directly via the seam-reset helpers with the grid origin
-	// as horizon, which equal the plain predictors there.
 	g := &blockGeom{dims: dims, edges: append([]int(nil), dims...), nb: make([]int, len(dims)), total: 1}
 	for a := range g.nb {
 		g.nb[a] = 1
@@ -181,41 +175,49 @@ func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights
 		w = weights[:len(weights)-1]
 		bias = weights[len(weights)-1]
 	}
-	codes = blockLocalCodes(q, dims, g, dq, w, bias, method)
-
-	// Cross-check: the sequential decoder must invert these codes back to q.
-	q2 := make([]int32, n)
-	var err error
-	if method == container.MethodBaseline {
-		err = reconstructBaseline(q2, codes, dims)
-	} else {
-		err = reconstructCrossField(q2, codes, dims, dq, weights, method)
-	}
-	if err != nil {
-		t.Fatalf("sequential reconstruct: %v", err)
-	}
-	for i := range q2 {
-		if q2[i] != q[i] {
-			t.Fatalf("sequential self-check: q[%d] = %d, want %d", i, q2[i], q[i])
-		}
-	}
-	return codes
+	return blockLocalCodes(q, dims, g, dq, w, bias, method)
 }
 
-// TestBlockDecodeHonorsCancellation: a canceled context must abort a
-// block-coded decode between fronts instead of reconstructing them all.
+// TestBlockDecodeHonorsCancellation: an already-canceled context must
+// abort every decode — each payload kind, in either container, whole
+// field or one chunk — instead of reconstructing it.
 func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	field := smoothField(t, rng, []int{13, 21, 37})
-	opts := Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 8}}
-	blocked, err := CompressBaseline(field, opts)
-	if err != nil {
-		t.Fatalf("block compress: %v", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := decompressMono(ctx, blocked.Blob, nil, nil, nil, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("decode under canceled ctx = %v, want context.Canceled", err)
+	for _, kind := range []struct {
+		name  string
+		opts  Options
+		level int
+	}{
+		{"plain", Options{Bound: quant.RelBound(1e-3)}, LevelFull},
+		{"blocks", Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 8}}, LevelFull},
+		{"layered-L0", Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}, 0},
+		{"layered-full", Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}, LevelFull},
+	} {
+		mono, err := CompressBaseline(field, kind.opts)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", kind.name, err)
+		}
+		chunked, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: kind.opts, ChunkVoxels: field.Len() / 3})
+		if err != nil {
+			t.Fatalf("%s: chunked compress: %v", kind.name, err)
+		}
+		for _, c := range []struct {
+			container string
+			blob      []byte
+			chunk     int
+		}{
+			{"CFC1", mono.Blob, WholeField}, {"CFC1", mono.Blob, 0},
+			{"CFC2", chunked.Blob, WholeField}, {"CFC2", chunked.Blob, 1},
+		} {
+			_, _, _, err := Decode(ctx, bytes.NewReader(c.blob), int64(len(c.blob)), nil,
+				Request{Chunk: c.chunk, Level: kind.level, Workers: 2})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %s chunk %d: decode under canceled ctx = %v, want context.Canceled", kind.name, c.container, c.chunk, err)
+			}
+		}
 	}
 }
 
@@ -252,7 +254,7 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 			t.Fatalf("plain decompress: %v", err)
 		}
 		for _, workers := range []int{0, 1, 2, 4} {
-			got, err := decompressMono(context.Background(), blocked.Blob, nil, nil, nil, workers)
+			got, _, _, err := decodeAt(blocked.Blob, nil, Request{Chunk: WholeField, Level: LevelFull, Workers: workers})
 			if err != nil {
 				t.Fatalf("block decompress (workers=%d): %v", workers, err)
 			}
@@ -269,7 +271,7 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunked block compress: %v", err)
 		}
-		full, err := DecompressChunked(chunked.Blob, nil)
+		full, err := Decompress(chunked.Blob, nil)
 		if err != nil {
 			t.Fatalf("chunked decompress: %v", err)
 		}
@@ -285,7 +287,7 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 		slab := field.Len() / dims[0]
 		for ci := 0; ci < nchunks; ci++ {
 			for _, workers := range []int{1, 4} {
-				part, start, err := DecompressChunkWith(chunked.Blob, ci, nil, workers)
+				part, start, _, err := decodeAt(chunked.Blob, nil, Request{Chunk: ci, Level: LevelFull, Workers: workers})
 				if err != nil {
 					t.Fatalf("chunk %d (workers=%d): %v", ci, workers, err)
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -212,240 +211,6 @@ func aggregateChunkStats(field *tensor.Tensor, chunkStats []Stats, method contai
 	return st
 }
 
-// DecompressChunked reconstructs a field from a CFC2 container, running
-// the per-chunk reconstructions on a GOMAXPROCS-wide worker pool. Hybrid
-// containers need the same decompressed anchors used at compression time.
-func DecompressChunked(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	return DecompressChunkedWith(blob, anchors, 0)
-}
-
-// DecompressChunkedWith is DecompressChunked with an explicit bound on how
-// many chunks decompress concurrently; workers <= 0 means
-// parallel.Workers(). A monolithic CFC1 blob is accepted too (it has a
-// single sequential chunk, so workers does not apply).
-func DecompressChunkedWith(blob []byte, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	if !chunk.IsChunked(blob) {
-		return decompressMono(context.Background(), blob, anchors, nil, nil, workers)
-	}
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, err
-	}
-	// Chunk-level parallelism comes first; leftover workers go to
-	// block-parallel decode inside each chunk (v3 containers).
-	inner := workers / a.NumChunks()
-	if inner < 1 {
-		inner = 1
-	}
-	out := make([]float32, a.NumPoints())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
-		payload, err := a.Payload(i)
-		if err != nil {
-			return err
-		}
-		return decompressChunkInto(out, payload, g, i, inf, inner)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(out, a.Dims...)
-}
-
-// archiveInference runs the container-level shared inference pass for a
-// hybrid CFC2 archive (nil for baseline containers): the one place
-// decompression still pays CFNN cost, once per field instead of once per
-// chunk.
-func archiveInference(a *chunk.Archive, g *chunk.Grid, model *cfnn.Model, anchors []*tensor.Tensor, workers int) (*fieldInference, error) {
-	if model == nil {
-		return nil, nil
-	}
-	return newFieldInference(model, anchors, a.AbsEB, g, nil, workers)
-}
-
-// DecompressChunkedFrom reconstructs a field from a CFC2 stream, handing
-// each chunk payload to a decoder goroutine as soon as it is read — the
-// compressed container never needs to be fully resident.
-func DecompressChunkedFrom(r io.Reader, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	cr, err := chunk.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, err
-	}
-	workers := parallel.Workers()
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, a.NumPoints())
-	sem := make(chan struct{}, workers)
-	errs := make([]error, a.NumChunks())
-	for {
-		i, payload, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Drain in-flight workers before reporting the stream error.
-			for w := 0; w < workers; w++ {
-				sem <- struct{}{}
-			}
-			return nil, err
-		}
-		sem <- struct{}{}
-		go func(i int, payload []byte) {
-			defer func() { <-sem }()
-			errs[i] = decompressChunkInto(out, payload, g, i, inf, 1)
-		}(i, payload)
-	}
-	for w := 0; w < workers; w++ {
-		sem <- struct{}{}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tensor.FromSlice(out, a.Dims...)
-}
-
-// DecompressChunk reconstructs only chunk i of a CFC2 container without
-// reading any other chunk's payload, returning the chunk tensor and its
-// starting slab along axis 0 (multiply by the slab voxel count for the
-// flat offset). Hybrid containers need the full-field decompressed
-// anchors; only the chunk's region of them is consulted — this is the
-// per-chunk-view inference path the shared-inference engine is
-// bit-identical to. A monolithic CFC1 blob is accepted as a single-chunk
-// container: chunk 0 is the whole field, consistent with ChunkCount and
-// ChunkIndex. Block-coded payloads decode on a GOMAXPROCS-wide worker
-// pool; use DecompressChunkWith for an explicit bound.
-func DecompressChunk(blob []byte, i int, anchors []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	return DecompressChunkWith(blob, i, anchors, 0)
-}
-
-// DecompressChunkWith is DecompressChunk with an explicit bound on the
-// block-decode worker pool used for block-coded (CFC2 v3) payloads;
-// workers <= 0 means parallel.Workers(). Plain payloads decode
-// sequentially regardless — the bound only governs intra-chunk
-// parallelism, which is the single-chunk decode-latency lever.
-func DecompressChunkWith(blob []byte, i int, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, int, error) {
-	if !chunk.IsChunked(blob) {
-		if i != 0 {
-			return nil, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
-		}
-		t, err := decompressMono(context.Background(), blob, anchors, nil, nil, workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, 0, nil
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	var subAnchors []*tensor.Tensor
-	if model != nil {
-		// Random access decodes one chunk, so inference runs on the
-		// chunk's anchor views alone; the model was loaded privately by
-		// prepareArchive, so no clone is needed.
-		if subAnchors, err = g.Views(anchors, i); err != nil {
-			return nil, 0, err
-		}
-	}
-	t, err := decompressChunkPayload(context.Background(), payload, g, i, subAnchors, model, nil, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, a.Index[i].Start, nil
-}
-
-// DecompressChunkWithAnchorSlabs is DecompressChunk for callers that
-// supply anchor data covering only chunk i's slab range — each slab tensor
-// must have the chunk's dims (the field dims with axis 0 cut to the
-// chunk's slab count) — instead of full anchor fields. This is the serving
-// layer's random-access entry point: a dependent-chunk request decodes
-// only the anchor chunks intersecting its slab range, never whole anchor
-// fields. Predictions are bit-identical to DecompressChunk with full
-// anchors, which runs inference over exactly the same chunk views.
-func DecompressChunkWithAnchorSlabs(blob []byte, i int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	return DecompressChunkWithAnchorSlabsCtx(context.Background(), blob, i, anchorSlabs)
-}
-
-// DecompressChunkWithAnchorSlabsCtx is DecompressChunkWithAnchorSlabs
-// with request-scoped cancellation: block-coded payloads check ctx at
-// block and wavefront-front boundaries, so a canceled serving request
-// releases its workers at the next barrier instead of decoding bytes
-// nobody will read.
-func DecompressChunkWithAnchorSlabsCtx(ctx context.Context, blob []byte, i int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	if !chunk.IsChunked(blob) {
-		// A monolithic blob is a single chunk spanning every slab, so the
-		// "slabs" are the full anchor fields.
-		return DecompressChunk(blob, i, anchorSlabs)
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, err := a.Grid()
-	if err != nil {
-		return nil, 0, err
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, 0, err
-	}
-	if model != nil {
-		if len(anchorSlabs) == 0 {
-			return nil, 0, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		want := g.ChunkDims(i)
-		for k, s := range anchorSlabs {
-			if !sameDims(s.Shape(), want) {
-				return nil, 0, fmt.Errorf("core: anchor slab %d shape %v != chunk %d dims %v", k, s.Shape(), i, want)
-			}
-		}
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Serving decodes one chunk per request: give block-coded payloads the
-	// whole machine — intra-chunk parallelism is what moves cold p99.
-	t, err := decompressChunkPayload(ctx, payload, g, i, anchorSlabs, model, nil, parallel.Workers())
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, a.Index[i].Start, nil
-}
-
 // ChunkCount returns the number of chunks in a CFC2 container (1 for a
 // monolithic CFC1 blob).
 func ChunkCount(blob []byte) (int, error) {
@@ -534,60 +299,4 @@ func loadArchiveModel(h *chunk.Header) (*cfnn.Model, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", h.Method)
 	}
-}
-
-// prepareArchive validates anchors against the container header, loads the
-// shared CFNN model (if any), and rebuilds the chunk grid.
-func prepareArchive(a *chunk.Archive, anchors []*tensor.Tensor) (*chunk.Grid, *cfnn.Model, error) {
-	g, err := a.Grid()
-	if err != nil {
-		return nil, nil, err
-	}
-	if a.Method == container.MethodHybrid || a.Method == container.MethodCrossOnly {
-		if len(anchors) == 0 {
-			return nil, nil, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		for i, an := range anchors {
-			if !sameDims(an.Shape(), a.Dims) {
-				return nil, nil, fmt.Errorf("core: anchor %d shape %v != field dims %v", i, an.Shape(), a.Dims)
-			}
-		}
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, model, nil
-}
-
-// decompressChunkPayload reverses one chunk payload. For hybrid payloads
-// exactly one prediction source is supplied: dq slab views from the
-// shared inference pass (full-container decodes), or the chunk's anchor
-// views plus the container model for per-chunk inference (random access).
-func decompressChunkPayload(ctx context.Context, payload []byte, g *chunk.Grid, i int, subAnchors []*tensor.Tensor, model *cfnn.Model, dq [][]float64, workers int) (*tensor.Tensor, error) {
-	t, err := decompressMono(ctx, payload, subAnchors, model, dq, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, nil
-}
-
-// decompressChunkInto reconstructs chunk i directly into its region of the
-// full output array, reading predictions from the shared inference pass
-// (inf nil for baseline containers). The dq slabs are shared and
-// read-only, so concurrent chunk workers need no model state at all.
-func decompressChunkInto(out []float32, payload []byte, g *chunk.Grid, i int, inf *fieldInference, workers int) error {
-	var dq [][]float64
-	if inf != nil {
-		dq = inf.chunkDQ(i)
-	}
-	t, err := decompressChunkPayload(context.Background(), payload, g, i, nil, nil, dq, workers)
-	if err != nil {
-		return err
-	}
-	copy(out[g.Offset(i):], t.Data())
-	return nil
 }

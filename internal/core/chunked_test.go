@@ -196,7 +196,7 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 	}
 	slab := 14 * 18
 	for i := 0; i < nc; i++ {
-		part, start, err := DecompressChunk(res.Blob, i, anchors)
+		part, start, _, err := decodeAt(res.Blob, anchors, Request{Chunk: i, Level: LevelFull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,13 +207,13 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := DecompressChunk(res.Blob, nc, anchors); err == nil {
+	if _, _, _, err := decodeAt(res.Blob, anchors, Request{Chunk: nc, Level: LevelFull}); err == nil {
 		t.Fatal("out-of-range chunk index accepted")
 	}
 }
 
-// DecompressChunkWithAnchorSlabs must reproduce DecompressChunk exactly
-// when fed only the chunk's slab range of each anchor — the contract the
+// A one-chunk Decode must reproduce the full-anchor decode exactly when
+// fed only the chunk's slab range of each anchor — the contract the
 // serving layer relies on to avoid whole-anchor decodes.
 func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	target := smoothField3D(10, 14, 18, 74)
@@ -233,7 +233,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	}
 	slab := 14 * 18
 	for i, ci := range infos {
-		want, wantStart, err := DecompressChunk(res.Blob, i, anchors)
+		want, wantStart, _, err := decodeAt(res.Blob, anchors, Request{Chunk: i, Level: LevelFull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 			}
 			slabs[k] = s
 		}
-		got, start, err := DecompressChunkWithAnchorSlabs(res.Blob, i, slabs)
+		got, start, _, err := decodeAt(res.Blob, slabs, Request{Chunk: i, Level: LevelFull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressChunkWithAnchorSlabs(res.Blob, 0, []*tensor.Tensor{bad}); err == nil {
+	if _, _, _, err := decodeAt(res.Blob, []*tensor.Tensor{bad}, Request{Chunk: 0, Level: LevelFull}); err == nil {
 		t.Fatal("wrong-shaped anchor slab accepted")
 	}
 }
@@ -298,7 +298,7 @@ func TestDecompressChunkIsolatedFromOtherPayloads(t *testing.T) {
 			bad[p] ^= 0xff
 		}
 	}
-	part, start, err := DecompressChunk(bad, keep, nil)
+	part, start, _, err := decodeAt(bad, nil, Request{Chunk: keep, Level: LevelFull})
 	if err != nil {
 		t.Fatalf("isolated chunk failed despite untouched payload: %v", err)
 	}
@@ -321,7 +321,7 @@ func TestDecompressChunkIsolatedFromOtherPayloads(t *testing.T) {
 		t.Fatalf("isolated chunk out of bound: %v", maxErr)
 	}
 	// The corrupted chunks must be rejected, not silently decoded.
-	if _, _, err := DecompressChunk(bad, keep+1, nil); err == nil {
+	if _, _, _, err := decodeAt(bad, nil, Request{Chunk: keep + 1, Level: LevelFull}); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	}
 	if _, err := Decompress(bad, nil); err == nil {
@@ -354,7 +354,7 @@ func TestChunkedStreamingMatchesInMemory(t *testing.T) {
 	if !bytes.Equal(mem.Blob, buf.Bytes()) {
 		t.Fatal("streamed container differs from in-memory container")
 	}
-	fromStream, err := DecompressChunkedFrom(bytes.NewReader(buf.Bytes()), anchors)
+	fromStream, _, _, err := decodeAt(buf.Bytes(), anchors, Request{Chunk: WholeField, Level: LevelFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +410,16 @@ func TestChunkedRejectsCorruptIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last, err := ChunkCount(res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cut := range []int{4, 16, len(res.Blob) / 2, len(res.Blob) - 1} {
 		if _, err := Decompress(res.Blob[:cut], nil); err == nil {
 			t.Fatalf("truncated container (%d bytes) accepted", cut)
 		}
-		if _, err := DecompressChunkedFrom(bytes.NewReader(res.Blob[:cut]), nil); err == nil {
-			t.Fatalf("truncated stream (%d bytes) accepted", cut)
+		if _, _, _, err := decodeAt(res.Blob[:cut], nil, Request{Chunk: last - 1, Level: LevelFull}); err == nil {
+			t.Fatalf("truncated container (%d bytes): last chunk decoded", cut)
 		}
 	}
 }

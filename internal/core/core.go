@@ -11,20 +11,20 @@
 //     predictions fused with Lorenzo by the learned hybrid model
 //     (Sections III-B/C/D).
 //
-// Decompress reverses either. For hybrid blobs the caller must supply the
+// Decode reverses either (see decode.go); Decompress is its whole-field,
+// full-fidelity shorthand. For hybrid blobs the caller must supply the
 // same decompressed anchor fields the compressor used; everything else
 // (model weights, hybrid weights, Huffman table) travels inside the blob
 // and is charged to the compressed size.
 //
 // On top of the monolithic pipeline sits the chunked engine
-// (CompressChunked/CompressChunkedTo and the Decompress* counterparts):
-// fields split into independent slabs, compressed in parallel into a
-// random-access CFC2 container, with CFNN inference run once per field by
-// a shared segmented pass (see inference.go). Random access comes in two
-// flavors: DecompressChunk takes full anchor fields and consults only the
-// chunk's region; DecompressChunkWithAnchorSlabs takes anchor data
-// covering just the chunk's slab range — the serving layer's entry point
-// for decoding dependent chunks without materializing whole anchors.
+// (CompressChunked/CompressChunkedTo): fields split into independent
+// slabs, compressed in parallel into a random-access CFC2 container, with
+// CFNN inference run once per field by a shared segmented pass (see
+// inference.go). Decode serves a whole field or one chunk at any
+// progressive level; a one-chunk request takes full anchor fields or
+// anchor data covering just the chunk's slab range — the serving layer's
+// way to decode dependent chunks without materializing whole anchors.
 package core
 
 import (

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -14,6 +16,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
+
+// decodeAt runs Decode over an in-memory blob.
+func decodeAt(blob []byte, anchors []*tensor.Tensor, req Request) (*tensor.Tensor, int, float64, error) {
+	return Decode(context.Background(), bytes.NewReader(blob), int64(len(blob)), anchors, req)
+}
 
 // smoothField2D builds a smooth 2D test field.
 func smoothField2D(ny, nx int, seed int64) *tensor.Tensor {

@@ -78,7 +78,7 @@ func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
 				t.Fatalf("panic on %s: %v", label, r)
 			}
 		}()
-		recon, err := DecompressChunked(blob, nil)
+		recon, err := Decompress(blob, nil)
 		if err == nil && recon != nil && recon.Len() != field.Len() {
 			t.Fatalf("%s: wrong-size reconstruction accepted", label)
 		}

@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cfnn"
-	"repro/internal/chunk"
 	"repro/internal/container"
-	"repro/internal/huffman"
 	"repro/internal/lossless"
 	"repro/internal/tensor"
 )
@@ -89,43 +86,16 @@ func (p *BlockProfile) ModeledLatencyS(workers int) float64 {
 // while timing each decode block, taking the best of three passes per
 // block to shed scheduler noise. The blob may be a monolithic CFC1 v2
 // blob (i must be 0) or a CFC2 v3 container; hybrid payloads need the
-// same anchors DecompressChunk would.
+// same anchors Decode would.
 func ProfileChunkBlocks(blob []byte, i int, anchors []*tensor.Tensor) (*BlockProfile, error) {
-	payload := blob
-	var ext *cfnn.Model
-	subAnchors := anchors
-	if chunk.IsChunked(blob) {
-		a, err := chunk.Decode(blob)
-		if err != nil {
-			return nil, err
-		}
-		if i < 0 || i >= a.NumChunks() {
-			return nil, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-		}
-		g, model, err := prepareArchive(a, anchors)
-		if err != nil {
-			return nil, err
-		}
-		if payload, err = a.Payload(i); err != nil {
-			return nil, err
-		}
-		if model != nil {
-			if subAnchors, err = g.Views(anchors, i); err != nil {
-				return nil, err
-			}
-		}
-		ext = model
-	} else if i != 0 {
-		return nil, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
-	}
-	return profileMonoBlocks(payload, subAnchors, ext)
-}
-
-func profileMonoBlocks(blob []byte, anchors []*tensor.Tensor, ext *cfnn.Model) (*BlockProfile, error) {
 	t0 := time.Now()
-	b, err := container.Decode(blob)
+	s, err := open(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		return nil, err
+	}
+	b, sub, err := s.payload(i, LevelFull, anchors)
+	if err != nil {
+		return nil, s.chunkErr(i, err)
 	}
 	if b.Blocks == nil {
 		return nil, fmt.Errorf("core: payload is not block-coded")
@@ -134,11 +104,7 @@ func profileMonoBlocks(blob []byte, anchors []*tensor.Tensor, ext *cfnn.Model) (
 	if err != nil {
 		return nil, err
 	}
-	payloadRaw, err := backend.Decompress(b.Payload, b.PayloadRaw)
-	if err != nil {
-		return nil, err
-	}
-	codec, _, err := huffman.UnmarshalCodec(b.Table)
+	raw, codec, bs, err := baseStream(b, backend)
 	if err != nil {
 		return nil, err
 	}
@@ -147,41 +113,24 @@ func profileMonoBlocks(blob []byte, anchors []*tensor.Tensor, ext *cfnn.Model) (
 	vals := make([]float32, n)
 	serial := time.Since(t0).Seconds()
 
-	var dq [][]float64
-	var inferS float64
-	if b.Method != container.MethodBaseline {
-		tInf := time.Now()
-		if len(anchors) == 0 {
-			return nil, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, b.Method, b.Anchors)
-		}
-		model := ext
-		if len(b.Model) > 0 {
-			if model, err = cfnn.Load(bytes.NewReader(b.Model)); err != nil {
-				return nil, err
-			}
-		}
-		if model == nil {
-			return nil, fmt.Errorf("core: blob method %v has no embedded model and none was supplied", b.Method)
-		}
-		for k, a := range anchors {
-			if !sameDims(a.Shape(), b.Dims) {
-				return nil, fmt.Errorf("core: anchor %d shape %v != field dims %v", k, a.Shape(), b.Dims)
-			}
-		}
-		if dq, err = predictedDQ(model, anchors, b.AbsEB); err != nil {
-			return nil, err
-		}
+	tInf := time.Now()
+	dq, err := resolveDQ(b, sub, s.model, nil)
+	if err != nil {
+		return nil, err
+	}
+	inferS := 0.0
+	if dq != nil {
 		inferS = time.Since(tInf).Seconds()
 	}
 
-	g, err := geomFor(b.Dims, b.Blocks.Edges)
+	g, err := geomFor(b.Dims, bs.Edges)
 	if err != nil {
 		return nil, err
 	}
 	times := make([]float64, g.total)
 	best := make([]float64, g.total)
 	for pass := 0; pass < 3; pass++ {
-		if err := reconstructBlocks(context.Background(), q, vals, payloadRaw, codec, b, dq, 1, times); err != nil {
+		if err := reconstructBlocks(context.Background(), q, vals, raw, codec, b, bs, dq, 1, times); err != nil {
 			return nil, err
 		}
 		for bi, s := range times {
@@ -190,8 +139,8 @@ func profileMonoBlocks(blob []byte, anchors []*tensor.Tensor, ext *cfnn.Model) (
 			}
 		}
 	}
-	p := &BlockProfile{Mode: b.Blocks.Mode, InferS: inferS, SerialS: serial}
-	if b.Blocks.Mode == container.BlockIndependent {
+	p := &BlockProfile{Mode: bs.Mode, InferS: inferS, SerialS: serial}
+	if bs.Mode == container.BlockIndependent {
 		p.Fronts = [][]float64{best}
 		return p, nil
 	}

@@ -1,27 +1,21 @@
-// Progressive (layered) decompression: decode any prefix of a CFC1 v3 /
-// CFC2 v4 container at a chosen level, reading only the bytes that level
-// needs. Levels count from 0 (base) to Levels-1 (full); LevelFull selects
-// the deepest level. Layer payloads verify their own CRCs, so a truncated
-// or partially-corrupt container still serves every intact lower level.
+// Progressive (layered) payload introspection: level specs, per-level
+// prefix sizes, and the bounded prefix reader Decode uses to consume only
+// the layers a level needs. Levels count from 0 (base) to Levels-1 (full);
+// LevelFull selects the deepest level. Layer payloads verify their own
+// CRCs, so a truncated or partially-corrupt container still serves every
+// intact lower level.
 package core
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"io"
-	"math"
 
-	"repro/internal/bitstream"
-	"repro/internal/cfnn"
 	"repro/internal/chunk"
 	"repro/internal/container"
-	"repro/internal/huffman"
-	"repro/internal/lossless"
-	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
-// LevelFull selects the deepest (bit-exact) level in the *AtLevel APIs.
+// LevelFull selects the deepest (bit-exact) level in a Request.
 const LevelFull = -1
 
 // ErrLayerChecksum re-exports the container-level per-layer CRC failure so
@@ -85,336 +79,10 @@ func specFromSection(ls *container.LayerSection) *LevelSpec {
 	return s
 }
 
-// reconstructLayered reverses a layered blob through the requested level:
-// base layer through the ordinary prediction pipeline (over the shifted
-// prequant integers), refinement planes re-attached below it, midpoint
-// fill for the bits still unknown. Returns the reconstruction and the
-// layer table's recorded achieved max error for that level. level may be
-// LevelFull for the deepest level present in the table.
-func reconstructLayered(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, level int) (*tensor.Tensor, float64, error) {
-	ls := b.Layers
-	if ls == nil {
-		return nil, 0, fmt.Errorf("core: blob is not layered")
-	}
-	if level == LevelFull {
-		level = ls.NumLevels() - 1
-	}
-	if level < 0 || level >= ls.NumLevels() {
-		return nil, 0, fmt.Errorf("core: level %d out of [0,%d)", level, ls.NumLevels())
-	}
-	if level >= b.LayersAvail() {
-		return nil, 0, fmt.Errorf("%w: level %d needs %d layers, prefix holds %d",
-			container.ErrCorrupt, level, level+1, b.LayersAvail())
-	}
-	backend, err := lossless.ByID(b.BackendID)
-	if err != nil {
-		return nil, 0, err
-	}
-	dq, err := resolveDQ(b, anchors, ext, dqExt)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := b.NumPoints()
-
-	// Base layer: entropy-decode and run the sequential reconstruction
-	// over the shifted prequant integers.
-	enc0, err := b.LayerPayload(0)
-	if err != nil {
-		return nil, 0, err
-	}
-	raw0, err := backend.Decompress(enc0, ls.Layers[0].RawLen)
-	if err != nil {
-		return nil, 0, err
-	}
-	codec, _, err := huffman.UnmarshalCodec(b.Table)
-	if err != nil {
-		return nil, 0, err
-	}
-	codes, err := codec.Decode(bitstream.NewReader(raw0), n)
-	if err != nil {
-		return nil, 0, err
-	}
-	qb := make([]int32, n)
-	if b.Method == container.MethodBaseline {
-		err = reconstructBaseline(qb, codes, b.Dims)
-	} else {
-		err = reconstructCrossField(qb, codes, b.Dims, scaleDQ(dq, ls.Shift), b.Hybrid, b.Method)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Refinement planes are independent byte streams: decode them on the
-	// worker pool, then merge below the base.
-	planes := make([][]int32, level)
-	if level > 0 {
-		err = parallel.ForErr(parallel.Workers(), level, func(pi int) error {
-			l := pi + 1
-			enc, err := b.LayerPayload(l)
-			if err != nil {
-				return err
-			}
-			raw, err := backend.Decompress(enc, ls.Layers[l].RawLen)
-			if err != nil {
-				return err
-			}
-			pc, _, err := huffman.UnmarshalCodec(ls.Layers[l].Table)
-			if err != nil {
-				return err
-			}
-			syms, err := pc.Decode(bitstream.NewReader(raw), n)
-			if err != nil {
-				return err
-			}
-			max := int32(1) << ls.Layers[l].Bits
-			for _, s := range syms {
-				if s < 0 || s >= max {
-					return fmt.Errorf("%w: layer %d symbol %d exceeds %d-bit plane", container.ErrCorrupt, l, s, ls.Layers[l].Bits)
-				}
-			}
-			planes[pi] = syms
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-
-	rem := ls.Remaining(level)
-	shifts := make([]int, level) // plane pi re-attaches at bit position shifts[pi]
-	for pi := 0; pi < level; pi++ {
-		shifts[pi] = ls.Remaining(pi + 1)
-	}
-	var mid int32
-	if rem > 0 {
-		mid = int32(1) << (rem - 1)
-	}
-	vals := make([]float32, n)
-	s2 := 2 * b.AbsEB
-	parallel.ForRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := qb[i] << ls.Shift
-			for pi := 0; pi < level; pi++ {
-				v += planes[pi][i] << shifts[pi]
-			}
-			vals[i] = float32(float64(v+mid) * s2)
-		}
-	})
-	t, err := tensor.FromSlice(vals, b.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, ls.Layers[level].MaxErr, nil
-}
-
-// decompressPayloadAtLevel decodes one CFC1 payload (possibly a prefix) at
-// a level. Non-layered payloads accept only level 0 / LevelFull and decode
-// in full, reporting NaN for the recorded achieved error.
-func decompressPayloadAtLevel(ctx context.Context, payload []byte, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers, level int) (*tensor.Tensor, float64, error) {
-	b, _, err := container.DecodePrefix(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if b.Layers == nil {
-		if level > 0 {
-			return nil, 0, fmt.Errorf("core: payload is not layered; level %d unavailable", level)
-		}
-		t, err := decompressMono(ctx, payload, anchors, ext, dqExt, workers)
-		return t, math.NaN(), err
-	}
-	return reconstructLayered(b, anchors, ext, dqExt, level)
-}
-
-// DecompressAtLevel reconstructs a field from a compressed blob at the
-// given level (LevelFull = bit-exact), returning the reconstruction and
-// the achieved max error the compressor recorded for that level (NaN when
-// the payload is not layered). Chunked (CFC2) containers decode
-// chunk-parallel; hybrid payloads need the same decompressed anchors as
-// Decompress.
-func DecompressAtLevel(blob []byte, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
-	if chunk.IsChunked(blob) {
-		return decompressChunkedAtLevel(blob, anchors, level, 0)
-	}
-	return decompressPayloadAtLevel(context.Background(), blob, anchors, nil, nil, 0, level)
-}
-
-// decompressChunkedAtLevel is the CFC2 whole-field level decode: shared
-// inference once, then every chunk's prefix reconstructed in parallel.
-// The achieved error is the max across chunks at that level.
-func decompressChunkedAtLevel(blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float32, a.NumPoints())
-	achieved := make([]float64, a.NumChunks())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
-		payload, err := a.Payload(i)
-		if err != nil {
-			return err
-		}
-		var dq [][]float64
-		if inf != nil {
-			dq = inf.chunkDQ(i)
-		}
-		t, ach, err := decompressPayloadAtLevel(context.Background(), payload, nil, nil, dq, 1, level)
-		if err != nil {
-			return fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		if !sameDims(t.Shape(), g.ChunkDims(i)) {
-			return fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-		}
-		achieved[i] = ach
-		copy(out[g.Offset(i):], t.Data())
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := tensor.FromSlice(out, a.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, maxAchieved(achieved), nil
-}
-
-// maxAchieved folds per-chunk achieved errors; any NaN (unknown) makes the
-// aggregate NaN.
-func maxAchieved(errs []float64) float64 {
-	out := 0.0
-	for _, e := range errs {
-		if math.IsNaN(e) {
-			return math.NaN()
-		}
-		if e > out {
-			out = e
-		}
-	}
-	return out
-}
-
-// DecompressChunkAtLevel reconstructs only chunk i of a container at the
-// given level, returning the chunk tensor, its starting slab along axis 0,
-// and the recorded achieved max error for that level. Hybrid containers
-// need the full-field decompressed anchors, exactly as DecompressChunk.
-func DecompressChunkAtLevel(blob []byte, i, level int, anchors []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	if !chunk.IsChunked(blob) {
-		if i != 0 {
-			return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
-		}
-		t, ach, err := decompressPayloadAtLevel(context.Background(), blob, anchors, nil, nil, 0, level)
-		return t, 0, ach, err
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var subAnchors []*tensor.Tensor
-	if model != nil {
-		if subAnchors, err = g.Views(anchors, i); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	t, ach, err := decompressPayloadAtLevel(context.Background(), payload, subAnchors, model, nil, 0, level)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, a.Index[i].Start, ach, nil
-}
-
-// DecompressChunkAtLevelWithAnchorSlabsCtx is the serving layer's level
-// decode: like DecompressChunkWithAnchorSlabsCtx, anchor data covers only
-// chunk i's slab range, and the payload reconstructs at the requested
-// level.
-func DecompressChunkAtLevelWithAnchorSlabsCtx(ctx context.Context, blob []byte, i, level int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	if !chunk.IsChunked(blob) {
-		return DecompressChunkAtLevel(blob, i, level, anchorSlabs)
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, err := a.Grid()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if model != nil {
-		if len(anchorSlabs) == 0 {
-			return nil, 0, 0, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		want := g.ChunkDims(i)
-		for k, s := range anchorSlabs {
-			if !sameDims(s.Shape(), want) {
-				return nil, 0, 0, fmt.Errorf("core: anchor slab %d shape %v != chunk %d dims %v", k, s.Shape(), i, want)
-			}
-		}
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	t, ach, err := decompressPayloadAtLevel(ctx, payload, anchorSlabs, model, nil, parallel.Workers(), level)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, a.Index[i].Start, ach, nil
-}
-
 // PayloadLevelSpec reports the progressive layering of an in-memory
 // compressed blob (CFC1 or CFC2). Non-layered payloads report Levels == 1.
 func PayloadLevelSpec(blob []byte) (*LevelSpec, error) {
-	return PayloadLevelSpecReader(newByteReaderAt(blob), int64(len(blob)))
-}
-
-// byteReaderAt adapts a slice to io.ReaderAt without importing bytes here.
-type byteReaderAt []byte
-
-func newByteReaderAt(b []byte) io.ReaderAt { return byteReaderAt(b) }
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 }
 
 // PayloadLevelSpecReader is PayloadLevelSpec over an io.ReaderAt: only the
@@ -509,114 +177,6 @@ func readLayeredPrefix(r io.ReaderAt, off, length int64, level int) (*container.
 		}
 		sz *= 4
 	}
-}
-
-// DecompressAtLevelReader reconstructs a field at a level from a
-// ReaderAt-backed payload, reading only the byte prefix that level needs:
-// the container header/index plus layers 0..level of each chunk. This is
-// the bounded-memory path behind Archive.DecodeFieldAtLevel. Layer CRCs
-// replace the full-payload checksum for the portions read.
-func DecompressAtLevelReader(r io.ReaderAt, size int64, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	var head [4]byte
-	if size >= 4 {
-		if _, err := r.ReadAt(head[:], 0); err != nil {
-			return nil, 0, err
-		}
-	}
-	if !chunk.IsChunked(head[:]) {
-		// Monolithic CFC1: one growing prefix read, then a plain level
-		// decode.
-		var m5 [5]byte
-		if size < 5 {
-			return nil, 0, fmt.Errorf("%w: %d-byte payload", container.ErrCorrupt, size)
-		}
-		if _, err := r.ReadAt(m5[:], 0); err != nil {
-			return nil, 0, err
-		}
-		if !container.IsLayered(m5[:]) {
-			buf := make([]byte, size)
-			if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), buf); err != nil {
-				return nil, 0, err
-			}
-			return decompressPayloadAtLevel(context.Background(), buf, anchors, nil, nil, workers, level)
-		}
-		b, _, err := readLayeredPrefix(r, 0, size, effLevel(level))
-		if err != nil {
-			return nil, 0, err
-		}
-		return reconstructLayered(b, anchors, nil, nil, level)
-	}
-	cr, err := chunk.NewReader(io.NewSectionReader(r, 0, size))
-	if err != nil {
-		return nil, 0, err
-	}
-	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float32, a.NumPoints())
-	achieved := make([]float64, a.NumChunks())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
-		e := a.Index[i]
-		var dq [][]float64
-		if inf != nil {
-			dq = inf.chunkDQ(i)
-		}
-		var (
-			t   *tensor.Tensor
-			ach float64
-		)
-		if a.Layered {
-			b, _, err := readLayeredPrefix(r, int64(e.Offset), int64(e.PayloadLen), effLevel(level))
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-			t, ach, err = reconstructLayered(b, nil, nil, dq, level)
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-		} else {
-			buf := make([]byte, e.PayloadLen)
-			if _, err := io.ReadFull(io.NewSectionReader(r, int64(e.Offset), int64(e.PayloadLen)), buf); err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-			t, ach, err = decompressPayloadAtLevel(context.Background(), buf, nil, nil, dq, 1, level)
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-		}
-		if !sameDims(t.Shape(), g.ChunkDims(i)) {
-			return fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-		}
-		achieved[i] = ach
-		copy(out[g.Offset(i):], t.Data())
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := tensor.FromSlice(out, a.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, maxAchieved(achieved), nil
-}
-
-// effLevel maps LevelFull to a prefix requirement of "every layer", which
-// readLayeredPrefix satisfies only at the deepest level.
-func effLevel(level int) int {
-	if level == LevelFull {
-		return int(^uint(0) >> 1) // max int: read all layers
-	}
-	return level
 }
 
 // PayloadLevelBytes reports, per level, how many compressed payload bytes

@@ -98,7 +98,7 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 	}
 	errs := make([]float64, spec.Levels)
 	for l := 0; l < spec.Levels; l++ {
-		recon, ach, err := DecompressAtLevel(blob, nil, l)
+		recon, _, ach, err := decodeAt(blob, nil, Request{Chunk: WholeField, Level: l})
 		if err != nil {
 			t.Fatalf("decode level %d: %v", l, err)
 		}
@@ -225,7 +225,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for l := 0; l < spec.Levels; l++ {
-			recon, _, err := DecompressAtLevel(blob, anchors, l)
+			recon, _, _, err := decodeAt(blob, anchors, Request{Chunk: WholeField, Level: l})
 			if err != nil {
 				t.Fatalf("chunked=%v level %d: %v", chunked, l, err)
 			}
@@ -257,7 +257,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := DecompressAtLevel(blob, anchors, LevelFull)
+		full, _, _, err := decodeAt(blob, anchors, Request{Chunk: WholeField, Level: LevelFull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,11 +310,11 @@ func TestProgressivePrefixReads(t *testing.T) {
 			t.Fatalf("level %d prefix %d not smaller than blob %d", l, maxEnd, len(blob))
 		}
 		trunc := blob[:maxEnd]
-		got, ach, err := DecompressAtLevelReader(newByteReaderAt(trunc), int64(len(trunc)), nil, l, 0)
+		got, _, ach, err := decodeAt(trunc, nil, Request{Chunk: WholeField, Level: l})
 		if err != nil {
 			t.Fatalf("level %d prefix decode: %v", l, err)
 		}
-		want, wantAch, err := DecompressAtLevel(blob, nil, l)
+		want, _, wantAch, err := decodeAt(blob, nil, Request{Chunk: WholeField, Level: l})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestProgressiveOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressAtLevel(res.Blob, nil, 1); err == nil {
+	if _, _, _, err := decodeAt(res.Blob, nil, Request{Chunk: WholeField, Level: 1}); err == nil {
 		t.Error("expected error decoding level 1 of a non-layered blob")
 	}
 	spec, err := PayloadLevelSpec(res.Blob)

@@ -74,7 +74,7 @@ func TestHybridChunkedSharedSlabRace(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			part, start, err := DecompressChunk(res.Blob, ci, anchors)
+			part, start, _, err := decodeAt(res.Blob, anchors, Request{Chunk: ci, Level: LevelFull})
 			if err != nil {
 				cerrs[ci] = err
 				return

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	crossfield "repro"
+	"repro/internal/core"
 )
 
 // ChunkedBenchRow is one timed configuration of the chunked-vs-monolithic
@@ -106,7 +107,7 @@ func ChunkedThroughput(w io.Writer, s Sizes, jsonPath string) error {
 		decompress := func(res *crossfield.Compressed) error {
 			var err error
 			if nw > 0 {
-				_, err = crossfield.DecompressChunked(p.target.Name, res.Blob, anchors, nw)
+				_, err = core.DecompressChunkedWith(res.Blob, fieldTensorsOf(anchors), nw)
 			} else {
 				_, err = crossfield.Decompress(p.target.Name, res.Blob, anchors)
 			}
@@ -146,9 +147,8 @@ func ChunkedThroughput(w io.Writer, s Sizes, jsonPath string) error {
 	row("baseline", "monolithic", 1, 1, c, d, res.Stats.Ratio)
 
 	for _, nw := range workerCounts() {
-		opts := crossfield.ChunkOptions{ChunkVoxels: chunkVoxels, Workers: nw}
 		c, d, res, err := timeRoundTrip(func() (*crossfield.Compressed, error) {
-			return crossfield.CompressBaseline(p.target, bound, opts)
+			return crossfield.CompressBaseline(p.target, bound, crossfield.WithChunks(chunkVoxels), crossfield.WithWorkers(nw))
 		}, nil, nw)
 		if err != nil {
 			return err
@@ -174,9 +174,8 @@ func ChunkedThroughput(w io.Writer, s Sizes, jsonPath string) error {
 	row("hybrid", "monolithic", 1, 1, c, d, res.Stats.Ratio)
 
 	for _, nw := range workerCounts() {
-		opts := crossfield.ChunkOptions{ChunkVoxels: chunkVoxels, Workers: nw}
 		c, d, res, err = timeRoundTrip(func() (*crossfield.Compressed, error) {
-			return p.codec.Compress(p.target, anchorsDec, bound, opts)
+			return p.codec.Compress(p.target, anchorsDec, bound, crossfield.WithChunks(chunkVoxels), crossfield.WithWorkers(nw))
 		}, anchorsDec, nw)
 		if err != nil {
 			return err

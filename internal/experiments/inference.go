@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // InferenceBenchRow is one timed configuration of the CFNN full-field
@@ -185,9 +188,14 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 
 	const ci = 0
 	timeDecode := func(blob []byte, nw int) (float64, []float32, error) {
+		decode := func() (*tensor.Tensor, error) {
+			t, _, _, err := core.Decode(context.Background(), bytes.NewReader(blob), int64(len(blob)), anchorT,
+				core.Request{Chunk: ci, Level: core.LevelFull, Workers: nw})
+			return t, err
+		}
 		// Warm-up pass, then best-of over a fixed window: latency, not
 		// throughput, is what cold p99 cares about.
-		t, _, err := core.DecompressChunkWith(blob, ci, anchorT, nw)
+		t, err := decode()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -195,7 +203,7 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 		start := time.Now()
 		for iters := 0; time.Since(start) < 300*time.Millisecond || iters < 3; iters++ {
 			t0 := time.Now()
-			if _, _, err := core.DecompressChunkWith(blob, ci, anchorT, nw); err != nil {
+			if _, err := decode(); err != nil {
 				return 0, nil, err
 			}
 			if d := time.Since(t0).Seconds(); iters == 0 || d < best {

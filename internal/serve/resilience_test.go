@@ -19,12 +19,11 @@ import (
 	"repro/internal/serve"
 )
 
-// corruptBlob returns a copy of the shared archive blob with one byte of
-// the named field's stored payload flipped, so any read that verifies the
+// corruptBlob returns a copy of an archive blob with one byte of the
+// named field's stored payload flipped, so any read that verifies the
 // payload CRC fails.
-func corruptBlob(t *testing.T, field string) []byte {
+func corruptBlob(t *testing.T, blob []byte, field string) []byte {
 	t.Helper()
-	blob := sharedArchiveBlob(t)
 	ar, err := crossfield.OpenArchive(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +47,7 @@ func corruptBlob(t *testing.T, field string) []byte {
 func TestCorruptPayloadQuarantinedAs502(t *testing.T) {
 	s := serve.New(serve.Config{})
 	t.Cleanup(func() { s.Close() })
-	if err := s.Mount("bad", corruptBlob(t, "U")); err != nil {
+	if err := s.Mount("bad", corruptBlob(t, sharedArchiveBlob(t), "U")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -87,47 +86,73 @@ func (f *fakeRepair) RepairChunk(_ context.Context, key, archive, field string, 
 
 // A corrupt local payload with a peer holding an intact copy must repair:
 // the chunk request answers 200 with the peer's bytes, the repaired value
-// is cached (one repair fetch total), and the repair is counted.
+// is cached (one repair fetch total), and the repair is counted. A preview
+// request repairs too: the peer's full-fidelity chunk satisfies any
+// level, so it is served as level "full".
 func TestCorruptChunkRepairedFromPeer(t *testing.T) {
-	_, ref := newTestServer(t, serve.Config{})
-	refResp, want := get(t, ref, "/v1/archives/ds/fields/U/chunks/1")
-	if refResp.StatusCode != http.StatusOK {
-		t.Fatalf("reference GET = %d", refResp.StatusCode)
-	}
+	for _, tc := range []struct {
+		name, path string
+		blob       []byte
+	}{
+		{"full", "/v1/archives/ds/fields/U/chunks/1", sharedArchiveBlob(t)},
+		{"preview", "/v1/archives/ds/fields/U/chunks/1?level=0", sharedProgressiveBlob(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serverFor := func(blob []byte) (*serve.Server, *httptest.Server) {
+				s := serve.New(serve.Config{})
+				t.Cleanup(func() { s.Close() })
+				if err := s.Mount("ds", blob); err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(s.Handler())
+				t.Cleanup(ts.Close)
+				return s, ts
+			}
+			_, ref := serverFor(tc.blob)
+			refResp, want := get(t, ref, "/v1/archives/ds/fields/U/chunks/1")
+			if refResp.StatusCode != http.StatusOK {
+				t.Fatalf("reference GET = %d", refResp.StatusCode)
+			}
 
-	s := serve.New(serve.Config{})
-	t.Cleanup(func() { s.Close() })
-	if err := s.Mount("ds", corruptBlob(t, "U")); err != nil {
-		t.Fatal(err)
-	}
-	fake := &fakeRepair{body: want}
-	s.SetRemote(fake)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+			s, ts := serverFor(corruptBlob(t, tc.blob, "U"))
+			fake := &fakeRepair{body: want}
+			s.SetRemote(fake)
 
-	resp, got := get(t, ts, "/v1/archives/ds/fields/U/chunks/1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repaired GET = %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("repaired chunk bytes differ from the healthy copy")
-	}
-	if n := fake.repairs.Load(); n != 1 {
-		t.Fatalf("repair fetches = %d, want 1", n)
-	}
-	// The repaired value went into the chunk LRU like any decode.
-	resp, _ = get(t, ts, "/v1/archives/ds/fields/U/chunks/1")
-	if resp.StatusCode != http.StatusOK || fake.repairs.Load() != 1 {
-		t.Fatalf("hot repaired chunk: status %d, repairs %d (want 200, 1)",
-			resp.StatusCode, fake.repairs.Load())
-	}
-	_, metrics := get(t, ts, "/metrics")
-	if !strings.Contains(string(metrics), `cfserve_repair_total{outcome="hit"} 1`) {
-		t.Fatalf("metrics missing repair hit:\n%s", metrics)
-	}
-	// Without a repair source the same corruption is a 502.
-	if !strings.Contains(string(metrics), "cfserve_corrupt_payload_total 1") {
-		t.Fatalf("metrics missing corrupt-payload count:\n%s", metrics)
+			resp, got := get(t, ts, tc.path)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("repaired GET = %d: %s", resp.StatusCode, got)
+			}
+			if lv := resp.Header.Get("X-CFC-Level"); lv != "full" {
+				t.Fatalf("repaired X-CFC-Level = %q, want full", lv)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("repaired chunk bytes differ from the healthy copy")
+			}
+			if n := fake.repairs.Load(); n != 1 {
+				t.Fatalf("repair fetches = %d, want 1", n)
+			}
+			// The repaired value went into the chunk LRU like any decode.
+			resp, _ = get(t, ts, tc.path)
+			if resp.StatusCode != http.StatusOK || fake.repairs.Load() != 1 {
+				t.Fatalf("hot repaired chunk: status %d, repairs %d (want 200, 1)",
+					resp.StatusCode, fake.repairs.Load())
+			}
+			_, metrics := get(t, ts, "/metrics")
+			if !strings.Contains(string(metrics), `cfserve_repair_total{outcome="hit"} 1`) {
+				t.Fatalf("metrics missing repair hit:\n%s", metrics)
+			}
+			// Without a repair source the same corruption is a 502.
+			if !strings.Contains(string(metrics), "cfserve_corrupt_payload_total 1") {
+				t.Fatalf("metrics missing corrupt-payload count:\n%s", metrics)
+			}
+			// A delta from a repaired preview would XOR against the wrong
+			// body, so it answers 502 instead.
+			if tc.name == "preview" {
+				if resp, body := get(t, ts, "/v1/archives/ds/fields/U/chunks/1/delta?from=0"); resp.StatusCode != http.StatusBadGateway {
+					t.Fatalf("delta from a repaired preview = %d, want 502: %s", resp.StatusCode, body)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/resilience"
+	"repro/internal/tensor"
 )
 
 // Config sizes the shared decode caches. Each cached entry holds the
@@ -622,19 +624,38 @@ func (s *Server) lookup(archiveName, fieldName string) (*mount, int, bool) {
 	return m, i, true
 }
 
-// fieldVal is a cached decoded field: the Field for anchor use plus its
-// serialized little-endian body, built once at decode time so hot
-// requests never re-serialize. Both copies are charged to the cache
-// budget. achieved is the compressor-recorded max error of the served
-// progressive level; NaN for full-fidelity decodes, whose max error comes
-// from the manifest instead.
-type fieldVal struct {
-	f        *crossfield.Field
+// decodedVal is one cached decode — a whole field or one chunk: the
+// reconstruction for anchor use plus its serialized little-endian body,
+// built once at decode time so hot requests never re-serialize. Both
+// copies are charged to the cache budget. level is the representation
+// held (core.LevelFull, or a preview level) and achieved the
+// compressor-recorded max error of a preview; full-fidelity decodes take
+// theirs from the manifest or chunk index instead. start is a chunk's
+// first slab along axis 0.
+type decodedVal struct {
+	t        *tensor.Tensor
 	raw      []byte
+	start    int
+	level    int
 	achieved float64
 }
 
-func (v *fieldVal) size() int64 { return int64(4*v.f.Len() + len(v.raw)) }
+func (v *decodedVal) size() int64 { return int64(4*v.t.Len() + len(v.raw)) }
+
+// cacheKey is the LRU key (and ETag seed) of one representation of field
+// fv: the content key, suffixed with the chunk index for a chunk and with
+// the level for a preview, so representations never collide. The deepest
+// level lives under the unsuffixed key.
+func cacheKey(fv *fieldView, ci, level int) string {
+	key := fv.key
+	if ci != core.WholeField {
+		key += "#" + strconv.Itoa(ci)
+	}
+	if level != core.LevelFull {
+		key += "@L" + strconv.Itoa(level)
+	}
+	return key
+}
 
 // payloadBytes returns field i's compressed payload bytes through the
 // shared payload LRU: file-backed mounts read them on demand (one pread
@@ -694,55 +715,66 @@ func (s *Server) quarantinePayload(pkey string) {
 	}
 }
 
-// fieldData returns field i of m decoded, through the shared LRU with
-// singleflight coalescing. Anchors are resolved recursively through the
-// same cache, so one request for a dependent field warms every anchor on
-// its chain — the manifest graph is a validated DAG, so the recursion
-// terminates and cannot self-wait. Stage spans and decode timings are
+// decoded returns field i of m — the whole field (ci == core.WholeField)
+// or chunk ci — at a level (core.LevelFull = deepest) through the field
+// or chunk LRU with singleflight coalescing. It is the server's one decode
+// path, so payload quarantine, one-shot peer repair, admission (taken by
+// the handlers around it), cancellation, and the cache_lookup and
+// *_decode spans apply at every level. Stage spans and decode timings are
 // recorded inside the compute closure: the singleflight leader that runs
 // the decode observes them exactly once, coalesced waiters never do.
-func (s *Server) fieldData(ctx context.Context, m *mount, i int) (*fieldVal, error) {
+func (s *Server) decoded(ctx context.Context, m *mount, i, ci, level int) (*decodedVal, error) {
 	fv := &m.fieldList[i]
+	cache, stage, hist := s.fields, "field_decode", s.metrics.stages.fieldDecode
+	if ci != core.WholeField {
+		cache, stage, hist = s.chunks, "chunk_decode", s.metrics.stages.chunkDecode
+	}
+	key := cacheKey(fv, ci, level)
 	tr, parent := obs.FromContext(ctx)
 	lid := tr.Start(parent, "cache_lookup")
 	lstart := time.Now()
-	v, err := s.fields.GetOrCompute(ctx, fv.key, func(dctx context.Context) (any, int64, error) {
-		// dctx is detached from any one caller: it carries the leader's
-		// trace values but is canceled only when every coalesced waiter
-		// has abandoned the computation.
+	v, err := cache.GetOrCompute(ctx, key, func(dctx context.Context) (any, int64, error) {
+		// dctx carries the leader's trace values but is canceled only
+		// when every coalesced waiter has abandoned the computation.
 		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		anchors, err := s.anchorFields(cctx, m, fv)
+		// Cluster peer fetch: if another node owns this content key, its
+		// cache already holds (or will decode once) these bytes. The
+		// remote protocol carries full-fidelity bytes only, so previews
+		// decode locally.
+		if ci != core.WholeField && level == core.LevelFull {
+			if val, ok := s.peerChunk(cctx, key, m, fv, ci, false); ok {
+				return val, val.size(), nil
+			}
+		}
+		payload, err := s.payloadBytes(cctx, m, i)
+		if err != nil {
+			// One-shot peer repair: the local payload is damaged, but a
+			// ring replica may hold (or can decode) the chunk's
+			// full-fidelity bytes, which satisfy any level.
+			if ci != core.WholeField && errors.Is(err, ErrCorruptPayload) {
+				if val, ok := s.peerChunk(cctx, cacheKey(fv, ci, core.LevelFull), m, fv, ci, true); ok {
+					return val, val.size(), nil
+				}
+			}
+			return nil, 0, err
+		}
+		anchors, err := s.anchors(cctx, m, fv, ci)
 		if err != nil {
 			return nil, 0, err
 		}
-		var f *crossfield.Field
-		if m.ar != nil {
-			_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-			start := time.Now()
-			f, err = m.ar.DecodeField(fv.info.Name, anchors)
-			s.metrics.observeDecode(time.Since(start))
-			endDecode()
-			if err != nil && errors.Is(err, crossfield.ErrChecksum) {
-				// The archive read path verifies payload CRCs internally;
-				// quarantine here too so later chunk requests fail fast.
-				s.quarantinePayload(fv.key + "/payload")
-				err = fmt.Errorf("%w: mount %q field %q: %v", ErrCorruptPayload, m.name, fv.info.Name, err)
-			}
-		} else {
-			payload, perr := s.payloadBytes(cctx, m, i)
-			if perr != nil {
-				return nil, 0, perr
-			}
-			_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-			start := time.Now()
-			f, err = crossfield.Decompress(fv.info.Name, payload, anchors)
-			s.metrics.observeDecode(time.Since(start))
-			endDecode()
+		_, endDecode := s.metrics.stage(cctx, stage, hist)
+		start := time.Now()
+		t, slab, achieved, err := core.Decode(cctx, bytes.NewReader(payload), int64(len(payload)), anchors,
+			core.Request{Chunk: ci, Level: level})
+		s.metrics.observeDecode(time.Since(start))
+		endDecode()
+		if err == nil && ci == core.WholeField && !slices.Equal(t.Shape(), fv.info.Dims) {
+			err = fmt.Errorf("serve: field %q payload dims %v, manifest says %v", fv.info.Name, t.Shape(), fv.info.Dims)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: math.NaN()}
+		val := &decodedVal{t: t, raw: floatBytes(t.Data()), start: slab, level: level, achieved: achieved}
 		return val, val.size(), nil
 	})
 	tr.End(lid)
@@ -750,227 +782,83 @@ func (s *Server) fieldData(ctx context.Context, m *mount, i int) (*fieldVal, err
 	if err != nil {
 		return nil, err
 	}
-	return v.(*fieldVal), nil
+	return v.(*decodedVal), nil
 }
 
-// anchorFields resolves fv's anchors at full fidelity through the field
-// cache. Progressive preview decodes use it unchanged: the compressor
-// built every base layer against full-fidelity anchors, so previews must
-// predict from the same reconstructions. The manifest graph is a
-// validated DAG, so the recursion terminates and cannot self-wait.
-func (s *Server) anchorFields(cctx context.Context, m *mount, fv *fieldView) ([]*crossfield.Field, error) {
+// anchors resolves fv's anchors at full fidelity through the caches:
+// whole anchor fields for a whole-field decode, and for chunk ci only the
+// anchor slabs covering its slab range, never whole anchor fields.
+// Previews use the same anchors: the compressor built every base layer
+// against full-fidelity anchors. The manifest graph is a validated DAG,
+// so the recursion terminates and cannot self-wait.
+func (s *Server) anchors(cctx context.Context, m *mount, fv *fieldView, ci int) ([]*tensor.Tensor, error) {
 	if len(fv.deps) == 0 {
 		return nil, nil
 	}
 	actx, endAnchors := s.metrics.stage(cctx, "anchor_decode", s.metrics.stages.anchorDecode)
 	defer endAnchors()
-	anchors := make([]*crossfield.Field, len(fv.deps))
+	out := make([]*tensor.Tensor, len(fv.deps))
 	for k, d := range fv.deps {
 		// Anchor recursion is the long pole of a cold dependent decode;
 		// stop between anchors once nobody is waiting.
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}
-		af, err := s.fieldData(actx, m, d)
+		var err error
+		if ci == core.WholeField {
+			var v *decodedVal
+			if v, err = s.decoded(actx, m, d, core.WholeField, core.LevelFull); err == nil {
+				out[k] = v.t
+			}
+		} else {
+			out[k], err = s.anchorSlab(actx, m, d, fv.chunks[ci].Start, fv.chunks[ci].Slabs)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("anchor %q: %w", m.fieldList[d].info.Name, err)
 		}
-		anchors[k] = af.f
 	}
-	return anchors, nil
+	return out, nil
 }
 
-// levelKey derives the cache key of a progressive preview: the content
-// key (or chunk key) suffixed with the level, so previews and the
-// full-fidelity entry coexist in the same LRU without colliding.
-func levelKey(key string, level int) string {
-	return key + "@L" + strconv.Itoa(level)
-}
-
-// fieldLevelData decodes field i at a progressive preview level through
-// the field LRU, keyed separately from the full-fidelity entry. Anchors
-// resolve at full fidelity; only the requested field's payload is read
-// partially (layers 0..level consumed and CRC-verified).
-func (s *Server) fieldLevelData(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
-	fv := &m.fieldList[i]
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.fields.GetOrCompute(ctx, levelKey(fv.key, level), func(dctx context.Context) (any, int64, error) {
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		anchors, err := s.anchorFields(cctx, m, fv)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-		start := time.Now()
-		f, achieved, err := crossfield.DecompressAtLevel(fv.info.Name, payload, anchors, level)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
+// peerChunk fetches chunk ci's full-fidelity bytes from the cluster: a
+// routine fetch from the content key's owner, or, with repair set, the
+// one-shot corruption repair from a ring replica (never this node) after
+// the local payload failed its CRC. At most one attempt per request — the
+// AnchorClient's cooldown bounds traffic at dead peers — and the result
+// is cached like any decode, so a hot chunk costs one fetch.
+// Cluster-internal requests never go remote: the fetching peer handles
+// its own failover, and a second hop would break the one-hop bound.
+func (s *Server) peerChunk(ctx context.Context, key string, m *mount, fv *fieldView, ci int, repair bool) (*decodedVal, bool) {
+	if s.remote == nil || remoteSuppressed(ctx) {
+		return nil, false
 	}
-	return v.(*fieldVal), nil
-}
-
-// chunkVal is a cached decoded chunk.
-type chunkVal struct {
-	fieldVal
-	start int // first slab along axis 0
-}
-
-// chunkData returns chunk ci of field i decoded, through the chunk LRU.
-// Hybrid fields resolve their anchors per-chunk: only the anchor chunks
-// whose slab ranges intersect the requested chunk are decoded (through
-// the same chunk LRU, recursively for anchor chains), never whole anchor
-// fields — the anchor-slab slicing the ROADMAP scale-out item asks for.
-func (s *Server) chunkData(ctx context.Context, m *mount, i, ci int) (*chunkVal, error) {
-	fv := &m.fieldList[i]
-	key := fv.key + "#" + strconv.Itoa(ci)
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.chunks.GetOrCompute(ctx, key, func(dctx context.Context) (any, int64, error) {
-		// Deriving a child context allocates, but only here on the cold
-		// path; cache hits never reach this closure. Recording stages
-		// inside it also makes them leader-only — coalesced waiters get
-		// the value without double-counting decode time. dctx carries
-		// the leader's trace values but is canceled only when every
-		// coalesced waiter has abandoned the computation.
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		c := fv.chunks[ci]
-		// Cluster peer fetch: if another node owns this content key, its
-		// cache already holds (or will decode once) these bytes — fetching
-		// them is what makes the cluster-wide dedupe real. Runs inside the
-		// singleflight closure, so concurrent local requests coalesce onto
-		// one fetch; any failure falls through to the local decode.
-		if rc := s.remote; rc != nil && !remoteSuppressed(cctx) {
-			_, endFetch := s.metrics.stage(cctx, "remote_fetch", s.metrics.stages.remoteFetch)
-			raw, ok := rc.FetchChunk(cctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
-			endFetch()
-			if ok {
-				if val, err := chunkValFromRaw(fv, c, raw); err == nil {
-					s.metrics.remoteHits.Inc()
-					return val, val.size(), nil
-				}
-			}
-			s.metrics.remoteMisses.Inc()
+	fetch, hit, miss := s.remote.FetchChunk, s.metrics.remoteHits, s.metrics.remoteMisses
+	if repair {
+		rr, ok := s.remote.(RemoteRepair)
+		if !ok {
+			return nil, false
 		}
-		slabs, err := s.anchorSlabs(cctx, m, fv, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			if errors.Is(err, ErrCorruptPayload) {
-				// One-shot peer repair: the local payload is damaged, but a
-				// ring replica may hold (or can decode) these chunk bytes.
-				if val, ok := s.repairChunk(cctx, key, m, fv, ci, c); ok {
-					return val, val.size(), nil
-				}
-			}
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "chunk_decode", s.metrics.stages.chunkDecode)
-		start := time.Now()
-		f, slab, err := crossfield.DecompressChunkSlabCtx(cctx, fv.info.Name, payload, ci, slabs)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: math.NaN()}, start: slab}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
+		fetch, hit, miss = rr.RepairChunk, s.metrics.repairHits, s.metrics.repairFailures
 	}
-	return v.(*chunkVal), nil
+	c := fv.chunks[ci]
+	_, endFetch := s.metrics.stage(ctx, "remote_fetch", s.metrics.stages.remoteFetch)
+	raw, ok := fetch(ctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
+	endFetch()
+	if ok {
+		if val, err := chunkValFromRaw(fv, c, raw); err == nil {
+			hit.Inc()
+			return val, true
+		}
+	}
+	miss.Inc()
+	return nil, false
 }
 
-// anchorSlabs resolves fv's anchors covering chunk c's slab range, each
-// through the chunk LRU at full fidelity (see anchorFields for why
-// previews never relax anchor decodes).
-func (s *Server) anchorSlabs(cctx context.Context, m *mount, fv *fieldView, c core.ChunkInfo) ([]*crossfield.Field, error) {
-	if len(fv.deps) == 0 {
-		return nil, nil
-	}
-	actx, endAnchors := s.metrics.stage(cctx, "anchor_decode", s.metrics.stages.anchorDecode)
-	defer endAnchors()
-	slabs := make([]*crossfield.Field, len(fv.deps))
-	for k, d := range fv.deps {
-		// Anchor recursion: stop between anchor decodes once every
-		// waiter has gone away.
-		if err := cctx.Err(); err != nil {
-			return nil, err
-		}
-		af, err := s.anchorSlab(actx, m, d, c.Start, c.Slabs)
-		if err != nil {
-			return nil, fmt.Errorf("anchor %q: %w", m.fieldList[d].info.Name, err)
-		}
-		slabs[k] = af
-	}
-	return slabs, nil
-}
-
-// chunkLevelData decodes chunk ci of field i at a progressive preview
-// level through the chunk LRU. Previews never consult cluster peers: the
-// remote protocol carries full-fidelity bytes keyed by the full content
-// address, and a preview decode is already cheaper than a round trip.
-func (s *Server) chunkLevelData(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
-	fv := &m.fieldList[i]
-	key := levelKey(fv.key+"#"+strconv.Itoa(ci), level)
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.chunks.GetOrCompute(ctx, key, func(dctx context.Context) (any, int64, error) {
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		c := fv.chunks[ci]
-		slabs, err := s.anchorSlabs(cctx, m, fv, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "chunk_decode", s.metrics.stages.chunkDecode)
-		start := time.Now()
-		f, slab, achieved, err := crossfield.DecompressChunkSlabAtLevelCtx(cctx, fv.info.Name, payload, ci, level, slabs)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}, start: slab}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
-	}
-	return v.(*chunkVal), nil
-}
-
-// chunkValFromRaw rebuilds a cacheable chunk value from peer-fetched
-// little-endian bytes. The fetched slice doubles as the pre-serialized
-// response body, so a remote hit allocates only the decoded floats.
-func chunkValFromRaw(fv *fieldView, c core.ChunkInfo, raw []byte) (*chunkVal, error) {
+// chunkValFromRaw rebuilds a cacheable full-fidelity chunk from
+// peer-fetched little-endian bytes. The fetched slice doubles as the
+// pre-serialized response body, so a remote hit allocates only the
+// decoded floats.
+func chunkValFromRaw(fv *fieldView, c core.ChunkInfo, raw []byte) (*decodedVal, error) {
 	if len(raw) != c.Voxels*4 {
 		return nil, fmt.Errorf("remote chunk: got %d bytes, want %d", len(raw), c.Voxels*4)
 	}
@@ -980,39 +868,11 @@ func chunkValFromRaw(fv *fieldView, c core.ChunkInfo, raw []byte) (*chunkVal, er
 	}
 	dims := append([]int(nil), fv.info.Dims...)
 	dims[0] = c.Slabs
-	f, err := crossfield.NewField(fv.info.Name, vals, dims...)
+	t, err := tensor.FromSlice(vals, dims...)
 	if err != nil {
 		return nil, err
 	}
-	return &chunkVal{fieldVal: fieldVal{f: f, raw: raw, achieved: math.NaN()}, start: c.Start}, nil
-}
-
-// repairChunk attempts the one-shot corruption repair: after a local
-// payload fails its CRC, decoded chunk bytes are refetched from a ring
-// replica (never this node). At most one attempt per request — the
-// AnchorClient's cooldown bounds traffic at dead peers — and the result
-// is cached like any decode, so a repaired hot chunk costs one fetch.
-// Cluster-internal requests never repair: the fetching peer handles its
-// own failover, and a second hop would break the one-hop bound.
-func (s *Server) repairChunk(ctx context.Context, key string, m *mount, fv *fieldView, ci int, c core.ChunkInfo) (*chunkVal, bool) {
-	rr, ok := s.remote.(RemoteRepair)
-	if !ok || remoteSuppressed(ctx) {
-		return nil, false
-	}
-	_, endFetch := s.metrics.stage(ctx, "remote_fetch", s.metrics.stages.remoteFetch)
-	raw, ok := rr.RepairChunk(ctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
-	endFetch()
-	if !ok {
-		s.metrics.repairFailures.Inc()
-		return nil, false
-	}
-	val, err := chunkValFromRaw(fv, c, raw)
-	if err != nil {
-		s.metrics.repairFailures.Inc()
-		return nil, false
-	}
-	s.metrics.repairHits.Inc()
-	return val, true
+	return &decodedVal{t: t, raw: raw, start: c.Start, level: core.LevelFull, achieved: math.NaN()}, nil
 }
 
 // anchorSlab returns field d's reconstruction covering slabs
@@ -1022,7 +882,7 @@ func (s *Server) repairChunk(ctx context.Context, key string, m *mount, fv *fiel
 // resolved chunk-wise. When one chunk covers the range exactly (aligned
 // grids, the common case for archives compressed with one chunk size) its
 // cached tensor is returned without copying.
-func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count int) (*crossfield.Field, error) {
+func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count int) (*tensor.Tensor, error) {
 	fv := &m.fieldList[d]
 	dims := fv.info.Dims
 	if len(dims) == 0 || start < 0 || start+count > dims[0] {
@@ -1031,11 +891,11 @@ func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count i
 	}
 	for ci, c := range fv.chunks {
 		if c.Start == start && c.Slabs == count {
-			cv, err := s.chunkData(ctx, m, d, ci)
+			cv, err := s.decoded(ctx, m, d, ci, core.LevelFull)
 			if err != nil {
 				return nil, err
 			}
-			return cv.f, nil
+			return cv.t, nil
 		}
 	}
 	slabVox := 1
@@ -1052,18 +912,18 @@ func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cv, err := s.chunkData(ctx, m, d, ci)
+		cv, err := s.decoded(ctx, m, d, ci, core.LevelFull)
 		if err != nil {
 			return nil, err
 		}
 		lo := max(start, c.Start)
 		hi := min(start+count, c.Start+c.Slabs)
 		copy(out[(lo-start)*slabVox:(hi-start)*slabVox],
-			cv.f.Data()[(lo-c.Start)*slabVox:(hi-c.Start)*slabVox])
+			cv.t.Data()[(lo-c.Start)*slabVox:(hi-c.Start)*slabVox])
 	}
 	slabDims := append([]int(nil), dims...)
 	slabDims[0] = count
-	return crossfield.NewField(fv.info.Name, out, slabDims...)
+	return tensor.FromSlice(out, slabDims...)
 }
 
 // admissionWeight constants: a cached decode costs ~8 bytes per voxel
@@ -1187,11 +1047,11 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/archives", s.handleArchives)
 	mux.HandleFunc("GET /v1/archives/{a}/stats", s.handleArchiveStats)
 	mux.HandleFunc("GET /v1/archives/{a}/fields", s.handleFields)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}", s.handleField)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}", s.handleData)
 	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/stats", s.handleFieldStats)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/delta", s.handleFieldDelta)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}", s.handleChunk)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}/delta", s.handleChunkDelta)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/delta", s.handleDelta)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}", s.handleData)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}/delta", s.handleDelta)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -1376,11 +1236,6 @@ func (s *Server) handleFieldStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, fieldToJSON(&m.fieldList[i], true))
 }
 
-// fullLevel marks a request resolved to the full-fidelity representation
-// (the deepest progressive level, or any level of a non-layered payload):
-// it is served from the unsuffixed content key with X-CFC-Level "full".
-const fullLevel = -1
-
 // resolveLevelQuery maps a request's ?eb= / ?level= parameters onto a
 // progressive level. ?eb= names an absolute error bound and resolves to
 // the cheapest level whose provable bound meets it; a bound tighter than
@@ -1392,7 +1247,7 @@ func resolveLevelQuery(r *http.Request, fv *fieldView) (int, error) {
 	q := r.URL.Query()
 	ebs, lvs := q.Get("eb"), q.Get("level")
 	if ebs == "" && lvs == "" {
-		return fullLevel, nil
+		return core.LevelFull, nil
 	}
 	if ebs != "" && lvs != "" {
 		return 0, fmt.Errorf("eb and level are mutually exclusive")
@@ -1411,7 +1266,7 @@ func resolveLevelQuery(r *http.Request, fv *fieldView) (int, error) {
 			return 0, fmt.Errorf("level %d out of [0,%d)", n, levels)
 		}
 		if n == levels-1 {
-			return fullLevel, nil
+			return core.LevelFull, nil
 		}
 		return n, nil
 	}
@@ -1420,27 +1275,61 @@ func resolveLevelQuery(r *http.Request, fv *fieldView) (int, error) {
 		return 0, fmt.Errorf("malformed eb %q (want a bound > 0)", ebs)
 	}
 	if !spec.Progressive() {
-		return fullLevel, nil
+		return core.LevelFull, nil
 	}
 	if n := spec.ResolveLevel(eb, fv.info.AbsEB); n < spec.Levels-1 {
 		return n, nil
 	}
-	return fullLevel, nil
+	return core.LevelFull, nil
 }
 
 // countLevel records one data request against its served level.
 func (s *Server) countLevel(level int) {
-	if level == fullLevel {
+	if level == core.LevelFull {
 		s.metrics.levelFull.Inc()
 		return
 	}
 	s.metrics.levelRequests.With(strconv.Itoa(level)).Inc()
 }
 
-func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
+// target resolves a data route's archive and field and, on the chunk
+// routes, its chunk index (core.WholeField otherwise), answering 404/400
+// itself when they do not resolve.
+func (s *Server) target(w http.ResponseWriter, r *http.Request) (*mount, int, int, bool) {
 	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
+		return nil, 0, 0, false
+	}
+	cs := r.PathValue("i")
+	if cs == "" {
+		return m, i, core.WholeField, true
+	}
+	ci, err := strconv.Atoi(cs)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "malformed chunk index %q", cs)
+		return nil, 0, 0, false
+	}
+	if n := len(m.fieldList[i].chunks); ci < 0 || ci >= n {
+		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, n)
+		return nil, 0, 0, false
+	}
+	return m, i, ci, true
+}
+
+// predictBytes is the admission weight of a cold decode of field i, whole
+// (ci == core.WholeField) or one chunk.
+func (s *Server) predictBytes(m *mount, i, ci int) int64 {
+	if ci == core.WholeField {
+		return s.predictFieldBytes(m, i)
+	}
+	return s.predictChunkBytes(m, i, ci)
+}
+
+// handleData serves a whole field or one chunk at the requested level.
+func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
+	m, i, ci, ok := s.target(w, r)
+	if !ok {
 		return
 	}
 	fv := &m.fieldList[i]
@@ -1456,42 +1345,37 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	// resident full-fidelity entry also satisfies any preview request —
 	// its error is within every relaxed bound — so it is probed first
 	// and served (as level "full") without decoding a preview.
-	if v, ok := s.fields.Peek(fv.key); ok {
+	cache := s.fields
+	if ci != core.WholeField {
+		cache = s.chunks
+	}
+	v, hot := cache.Peek(cacheKey(fv, ci, core.LevelFull))
+	if !hot && level != core.LevelFull {
+		v, hot = cache.Peek(cacheKey(fv, ci, level))
+	}
+	if hot {
 		s.metrics.admissionBypass.Inc()
 		s.observeBypassLookup(r.Context())
-		s.writeField(w, r, fv, v.(*fieldVal), fullLevel)
+		s.writeData(w, r, fv, ci, v.(*decodedVal))
 		return
 	}
-	if level != fullLevel {
-		if v, ok := s.fields.Peek(levelKey(fv.key, level)); ok {
-			s.metrics.admissionBypass.Inc()
-			s.observeBypassLookup(r.Context())
-			s.writeField(w, r, fv, v.(*fieldVal), level)
-			return
-		}
-	}
-	release, ok := s.admit(w, r, s.predictFieldBytes(m, i))
+	release, ok := s.admit(w, r, s.predictBytes(m, i, ci))
 	if !ok {
 		return
 	}
 	defer release()
-	var v *fieldVal
-	if level == fullLevel {
-		v, err = s.fieldData(r.Context(), m, i)
-	} else {
-		v, err = s.fieldLevelData(r.Context(), m, i, level)
-	}
+	dv, err := s.decoded(r.Context(), m, i, ci, level)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	s.writeField(w, r, fv, v, level)
+	s.writeData(w, r, fv, ci, dv)
 }
 
 // observeBypassLookup records the cache_lookup span and stage sample for
 // a Peek hit on the admission-bypass fast path, so warm requests keep the
 // same trace shape whether they went through admission or around it. Only
-// hits record: a Peek miss falls through to fieldData/chunkData, which
+// hits record: a Peek miss falls through to decoded, which
 // records its own lookup — a miss span here would double-count cold loads.
 func (s *Server) observeBypassLookup(ctx context.Context) {
 	tr, parent := obs.FromContext(ctx)
@@ -1501,111 +1385,35 @@ func (s *Server) observeBypassLookup(ctx context.Context) {
 	s.metrics.stages.cacheLookup.Observe(time.Since(start).Seconds())
 }
 
-// writeField writes a decoded field response (headers + body). level is
-// the served representation: fullLevel keys and validates against the
-// unsuffixed content key, previews against the level-suffixed one, so
-// the two representations never share an ETag.
-func (s *Server) writeField(w http.ResponseWriter, r *http.Request, fv *fieldView, v *fieldVal, level int) {
+// writeData writes a decoded response (headers + body). The served
+// representation is v.level — full whenever a resident or repaired
+// full-fidelity value answered a preview request — and its cache key
+// seeds the ETag, so previews and full bodies never share a validator.
+func (s *Server) writeData(w http.ResponseWriter, r *http.Request, fv *fieldView, ci int, v *decodedVal) {
 	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(v.f.Dims()))
+	h.Set("X-CFC-Dims", dimsString(v.t.Shape()))
 	h.Set("X-CFC-Abs-EB", formatFloat(fv.info.AbsEB))
-	if !math.IsNaN(fv.info.MaxErr) {
-		h.Set("X-CFC-Max-Err", formatFloat(fv.info.MaxErr))
+	maxErr := fv.info.MaxErr
+	if ci == core.WholeField {
+		h.Set("X-CFC-Role", fv.info.Role)
+	} else {
+		h.Set("X-CFC-Chunk-Start", strconv.Itoa(v.start))
+		maxErr = fv.chunks[ci].MaxErr
 	}
-	h.Set("X-CFC-Role", fv.info.Role)
-	key := fv.key
-	if level == fullLevel {
+	if !math.IsNaN(maxErr) {
+		h.Set("X-CFC-Max-Err", formatFloat(maxErr))
+	}
+	if v.level == core.LevelFull {
 		h.Set("X-CFC-Level", "full")
-		if !math.IsNaN(fv.info.MaxErr) {
-			h.Set("X-CFC-Achieved-EB", formatFloat(fv.info.MaxErr))
+		if !math.IsNaN(maxErr) {
+			h.Set("X-CFC-Achieved-EB", formatFloat(maxErr))
 		}
 	} else {
-		key = levelKey(key, level)
-		h.Set("X-CFC-Level", strconv.Itoa(level))
+		h.Set("X-CFC-Level", strconv.Itoa(v.level))
 		h.Set("X-CFC-Achieved-EB", formatFloat(v.achieved))
-		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
+		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(v.level, fv.info.AbsEB)))
 	}
-	s.serveRaw(w, r, v.raw, key)
-}
-
-func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
-		return
-	}
-	ci, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "malformed chunk index %q", r.PathValue("i"))
-		return
-	}
-	fv := &m.fieldList[i]
-	if ci < 0 || ci >= len(fv.chunks) {
-		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, len(fv.chunks))
-		return
-	}
-	level, err := resolveLevelQuery(r, fv)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.countLevel(level)
-	// Hot chunk hits bypass admission, exactly like hot fields; a
-	// resident full-fidelity chunk satisfies any preview request.
-	if v, ok := s.chunks.Peek(fv.key + "#" + strconv.Itoa(ci)); ok {
-		s.metrics.admissionBypass.Inc()
-		s.observeBypassLookup(r.Context())
-		s.writeChunk(w, r, fv, ci, v.(*chunkVal), fullLevel)
-		return
-	}
-	if level != fullLevel {
-		if v, ok := s.chunks.Peek(levelKey(fv.key+"#"+strconv.Itoa(ci), level)); ok {
-			s.metrics.admissionBypass.Inc()
-			s.observeBypassLookup(r.Context())
-			s.writeChunk(w, r, fv, ci, v.(*chunkVal), level)
-			return
-		}
-	}
-	release, ok := s.admit(w, r, s.predictChunkBytes(m, i, ci))
-	if !ok {
-		return
-	}
-	defer release()
-	var cv *chunkVal
-	if level == fullLevel {
-		cv, err = s.chunkData(r.Context(), m, i, ci)
-	} else {
-		cv, err = s.chunkLevelData(r.Context(), m, i, ci, level)
-	}
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	s.writeChunk(w, r, fv, ci, cv, level)
-}
-
-// writeChunk writes a decoded chunk response (headers + body).
-func (s *Server) writeChunk(w http.ResponseWriter, r *http.Request, fv *fieldView, ci int, cv *chunkVal, level int) {
-	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(cv.f.Dims()))
-	h.Set("X-CFC-Chunk-Start", strconv.Itoa(cv.start))
-	h.Set("X-CFC-Abs-EB", formatFloat(fv.info.AbsEB))
-	if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
-		h.Set("X-CFC-Max-Err", formatFloat(me))
-	}
-	key := fv.key + "#" + strconv.Itoa(ci)
-	if level == fullLevel {
-		h.Set("X-CFC-Level", "full")
-		if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
-			h.Set("X-CFC-Achieved-EB", formatFloat(me))
-		}
-	} else {
-		key = levelKey(key, level)
-		h.Set("X-CFC-Level", strconv.Itoa(level))
-		h.Set("X-CFC-Achieved-EB", formatFloat(cv.achieved))
-		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
-	}
-	s.serveRaw(w, r, cv.raw, key)
+	s.serveRaw(w, r, v.raw, cacheKey(fv, ci, v.level))
 }
 
 // parseDeltaQuery validates a refinement-delta request: the field must be
@@ -1651,27 +1459,11 @@ func xorBody(to, from []byte) ([]byte, error) {
 	return out, nil
 }
 
-// fieldBodyAtLevel fetches field i's cached decode at a level, routing
-// the deepest level through the full-fidelity path (unsuffixed key).
-func (s *Server) fieldBodyAtLevel(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
-	if level == m.fieldList[i].levels.Levels-1 {
-		return s.fieldData(ctx, m, i)
-	}
-	return s.fieldLevelData(ctx, m, i, level)
-}
-
-// chunkBodyAtLevel is fieldBodyAtLevel for one chunk.
-func (s *Server) chunkBodyAtLevel(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
-	if level == m.fieldList[i].levels.Levels-1 {
-		return s.chunkData(ctx, m, i, ci)
-	}
-	return s.chunkLevelData(ctx, m, i, ci, level)
-}
-
-func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
+// handleDelta streams the XOR refinement of a whole field or one chunk
+// between two levels.
+func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
+	m, i, ci, ok := s.target(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
 		return
 	}
 	fv := &m.fieldList[i]
@@ -1680,90 +1472,50 @@ func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Both endpoints may decode cold; the extra field's worth covers the
-	// second representation next to predictFieldBytes' anchors+field.
-	points := 1
+	// Both endpoints may decode cold; the extra representation's worth
+	// covers the second next to predictBytes' anchors and target.
+	voxels := 1
 	for _, d := range fv.info.Dims {
-		points *= d
+		voxels *= d
 	}
-	release, ok := s.admit(w, r, s.predictFieldBytes(m, i)+int64(bytesPerVoxel)*int64(points))
+	if ci != core.WholeField {
+		voxels = fv.chunks[ci].Voxels
+	}
+	release, ok := s.admit(w, r, s.predictBytes(m, i, ci)+int64(bytesPerVoxel)*int64(voxels))
 	if !ok {
 		return
 	}
 	defer release()
-	fromV, err := s.fieldBodyAtLevel(r.Context(), m, i, from)
-	if err != nil {
-		decodeError(w, err)
-		return
+	var ends [2]*decodedVal
+	for k, l := range [2]int{from, to} {
+		if l == fv.levels.Levels-1 {
+			l = core.LevelFull
+		}
+		if ends[k], err = s.decoded(r.Context(), m, i, ci, l); err == nil && ends[k].level != l {
+			// A repaired full-fidelity value stands in for a damaged
+			// preview; XORed against it the delta would be wrong.
+			err = fmt.Errorf("%w: level %d unavailable", ErrCorruptPayload, l)
+		}
+		if err != nil {
+			decodeError(w, err)
+			return
+		}
 	}
-	toV, err := s.fieldBodyAtLevel(r.Context(), m, i, to)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	body, err := xorBody(toV.raw, fromV.raw)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writeDelta(w, r, fv, toV.f.Dims(), body, fv.key, from, to)
-}
-
-func (s *Server) handleChunkDelta(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
-		return
-	}
-	ci, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "malformed chunk index %q", r.PathValue("i"))
-		return
-	}
-	fv := &m.fieldList[i]
-	if ci < 0 || ci >= len(fv.chunks) {
-		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, len(fv.chunks))
-		return
-	}
-	from, to, err := parseDeltaQuery(r, fv)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c := fv.chunks[ci]
-	release, ok := s.admit(w, r, s.predictChunkBytes(m, i, ci)+int64(bytesPerVoxel)*int64(c.Voxels))
-	if !ok {
-		return
-	}
-	defer release()
-	fromV, err := s.chunkBodyAtLevel(r.Context(), m, i, ci, from)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	toV, err := s.chunkBodyAtLevel(r.Context(), m, i, ci, to)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	body, err := xorBody(toV.raw, fromV.raw)
+	body, err := xorBody(ends[1].raw, ends[0].raw)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("X-CFC-Chunk-Start", strconv.Itoa(toV.start))
-	s.writeDelta(w, r, fv, toV.f.Dims(), body, fv.key+"#"+strconv.Itoa(ci), from, to)
-}
-
-// writeDelta writes a refinement-delta response. The ETag key derives
-// from the content key plus both endpoints, so deltas, previews, and
-// full bodies never share a validator.
-func (s *Server) writeDelta(w http.ResponseWriter, r *http.Request, fv *fieldView, dims []int, body []byte, key string, from, to int) {
+	// The ETag key derives from the content key plus both endpoints, so
+	// deltas, previews, and full bodies never share a validator.
 	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(dims))
+	if ci != core.WholeField {
+		h.Set("X-CFC-Chunk-Start", strconv.Itoa(ends[1].start))
+	}
+	h.Set("X-CFC-Dims", dimsString(ends[1].t.Shape()))
 	h.Set("X-CFC-Delta-From", strconv.Itoa(from))
 	h.Set("X-CFC-Delta-To", strconv.Itoa(to))
-	s.serveRaw(w, r, body, key+"@D"+strconv.Itoa(from)+"-"+strconv.Itoa(to))
+	s.serveRaw(w, r, body, cacheKey(fv, ci, core.LevelFull)+"@D"+strconv.Itoa(from)+"-"+strconv.Itoa(to))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

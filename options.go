@@ -162,37 +162,6 @@ func WithStageTimings(t *DatasetTimings) Option {
 	})
 }
 
-// ChunkOptions selects the chunked parallel engine when passed to Compress
-// or CompressBaseline. The zero value means "chunked with defaults".
-//
-// Deprecated: use the functional options WithChunks and WithWorkers
-// instead. ChunkOptions remains an Option so existing call sites keep
-// compiling and old blobs keep decoding; it will not grow new fields.
-type ChunkOptions struct {
-	// ChunkVoxels is the target number of values per chunk (rounded to
-	// whole slabs along the slowest axis); 0 picks a default of ~2M values.
-	// Negative values are rejected with an error.
-	ChunkVoxels int
-	// Workers bounds how many chunks are compressed concurrently;
-	// 0 means GOMAXPROCS. Negative values are rejected with an error.
-	Workers int
-}
-
-// applyOption lets the deprecated struct participate in the functional
-// option surface unchanged.
-func (o ChunkOptions) applyOption(c *compressConfig) error {
-	if o.ChunkVoxels < 0 {
-		return fmt.Errorf("crossfield: ChunkOptions.ChunkVoxels must be >= 0 (0 = default), got %d", o.ChunkVoxels)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("crossfield: ChunkOptions.Workers must be >= 0 (0 = GOMAXPROCS), got %d", o.Workers)
-	}
-	c.chunked = true
-	c.chunkVoxels = o.ChunkVoxels
-	c.workers = o.Workers
-	return nil
-}
-
 // resolveOptions folds the option list into a config. caller names the
 // entry point for error messages; dataset selects whether per-field bounds
 // are legal.
