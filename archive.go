@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/archive"
+	"repro/internal/cfnn"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -156,60 +157,17 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 			if payloadCopy != nil {
 				pw = io.MultiWriter(pw, payloadCopy)
 			}
-			var st Stats
-			if s.Codec == nil {
-				if cfg.chunked {
-					cst, err := core.CompressChunkedTo(pw, s.Field.t, nil, nil, core.ChunkedOptions{
-						Options:     core.Options{Bound: b, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
-						ChunkVoxels: cfg.chunkVoxels,
-						Workers:     cfg.workers,
-					})
-					if err != nil {
-						return err
-					}
-					st = *cst
-				} else {
-					res, err := core.CompressBaseline(s.Field.t, core.Options{Bound: b, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()})
-					if err != nil {
-						return err
-					}
-					if _, err := pw.Write(res.Blob); err != nil {
-						return err
-					}
-					st = res.Stats
-				}
-			} else {
-				anchors := make([]*tensor.Tensor, len(s.Codec.names))
-				for k, dep := range s.Codec.names {
-					t, ok := recon[dep]
-					if !ok {
-						return fmt.Errorf("internal: anchor %q not materialized", dep)
-					}
-					anchors[k] = t
-				}
-				o := core.Options{Bound: b, AnchorNames: s.Codec.names, Arena: arena, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()}
-				if cfg.chunked {
-					cst, err := core.CompressChunkedTo(pw, s.Field.t, s.Codec.model, anchors, core.ChunkedOptions{
-						Options:     o,
-						ChunkVoxels: cfg.chunkVoxels,
-						Workers:     cfg.workers,
-					})
-					if err != nil {
-						return err
-					}
-					st = *cst
-				} else {
-					res, err := core.CompressHybrid(s.Field.t, s.Codec.model, anchors, o)
-					if err != nil {
-						return err
-					}
-					if _, err := pw.Write(res.Blob); err != nil {
-						return err
-					}
-					st = res.Stats
-				}
+			o := cfg.coreOptions(b)
+			o.Stages = fieldStages
+			var model *cfnn.Model
+			if s.Codec != nil {
+				model, o.AnchorNames, o.Arena = s.Codec.model, s.Codec.names, arena
 			}
-			stats[name] = st
+			st, err := core.Compress(pw, s.Field.t, model, anchorTensorsFor(e.Deps, recon), o)
+			if err != nil {
+				return err
+			}
+			stats[name] = *st
 			totalOrig += st.OriginalBytes
 			e.BoundMode = byte(b.Mode)
 			e.BoundValue = b.Value

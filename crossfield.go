@@ -166,22 +166,17 @@ func CompressBaseline(f *Field, bound ErrorBound, opts ...Option) (*Compressed, 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.chunked {
-		res, err := core.CompressChunked(f.t, nil, nil, core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
-			ChunkVoxels: cfg.chunkVoxels,
-			Workers:     cfg.workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
-	}
-	res, err := core.CompressBaseline(f.t, core.Options{Bound: bound, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()})
+	return compress(f, nil, nil, cfg.coreOptions(bound))
+}
+
+// compress runs the one compress pipeline, core.Compress, into memory.
+func compress(f *Field, model *cfnn.Model, anchors []*Field, o core.Options) (*Compressed, error) {
+	var buf bytes.Buffer
+	st, err := core.Compress(&buf, f.t, model, fieldTensors(anchors), o)
 	if err != nil {
 		return nil, err
 	}
-	return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
+	return &Compressed{Blob: buf.Bytes(), Stats: *st}, nil
 }
 
 // Decompress reconstructs a field from a blob. Baseline blobs take nil
@@ -347,27 +342,9 @@ func (c *Codec) Compress(target *Field, anchors []*Field, bound ErrorBound, opts
 	if err != nil {
 		return nil, err
 	}
-	if cfg.chunked {
-		res, err := core.CompressChunked(target.t, c.model, fieldTensors(anchors), core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, AnchorNames: c.names, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
-			ChunkVoxels: cfg.chunkVoxels,
-			Workers:     cfg.workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
-	}
-	res, err := core.CompressHybrid(target.t, c.model, fieldTensors(anchors), core.Options{
-		Bound:       bound,
-		AnchorNames: c.names,
-		Blocks:      cfg.blockSpec(),
-		Progressive: cfg.progSpec(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
+	o := cfg.coreOptions(bound)
+	o.AnchorNames = c.names
+	return compress(target, c.model, anchors, o)
 }
 
 // Decompress reconstructs a hybrid-compressed field.

@@ -92,8 +92,54 @@ func readGolden(t *testing.T, name string) []byte {
 	return b
 }
 
+// goldenFixtures lists every committed container fixture with the magic
+// and version byte it must carry. A frozen fixture is an old wire version
+// no writer emits any more: -update never rewrites it, because it is the
+// only pin on that version's reader.
+var goldenFixtures = []struct {
+	file    string
+	magic   string
+	version byte
+	frozen  bool
+}{
+	{"baseline_cfc1.cfc", "CFC1", 1, false},
+	{"baseline_cfc1v2.cfc", "CFC1", 2, false},
+	{"baseline_cfc1v3.cfc", "CFC1", 3, false},
+	{"chunked_cfc2v1.cfc", "CFC2", 1, false},
+	{"chunked_cfc2v2.cfc", "CFC2", 2, false},
+	{"chunked_cfc2v3.cfc", "CFC2", 3, false},
+	{"chunked_cfc2v4.cfc", "CFC2", 4, false},
+	{"archive_cfc3.cfc", "CFC3", 1, true},
+	{"archive_cfc3v2.cfc", "CFC3", 2, false},
+	{"archive_cfc3v2_mono.cfc", "CFC3", 2, false},
+	{"archive_cfc3v3.cfc", "CFC3", 3, false},
+}
+
+// fixtureHeader returns a container's magic and version byte.
+func fixtureHeader(b []byte) (string, byte) {
+	if len(b) < 5 {
+		return "", 0
+	}
+	return string(b[:4]), b[4]
+}
+
+// writeGolden rewrites one fixture. Frozen fixtures are skipped, and a
+// container whose header disagrees with the fixture table fails instead of
+// replacing the pinned version.
 func writeGolden(t *testing.T, name string, data []byte) {
 	t.Helper()
+	for _, fx := range goldenFixtures {
+		if fx.file != name {
+			continue
+		}
+		if fx.frozen {
+			t.Logf("kept frozen %s", goldenPath(name))
+			return
+		}
+		if magic, version := fixtureHeader(data); magic != fx.magic || version != fx.version {
+			t.Fatalf("%s: writer emits %q v%d, fixture table pins %q v%d", name, magic, version, fx.magic, fx.version)
+		}
+	}
 	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +299,9 @@ func regenGoldenLayered(t *testing.T) {
 	writeGolden(t, "chunked_cfc2v4.cfc", resC.Blob)
 }
 
-func regenGoldenLayeredArchive(t *testing.T) {
+// goldenArchiveSpecs is the archive fixtures' dataset: three baseline
+// anchors and a hybrid target with a deterministically trained codec.
+func goldenArchiveSpecs(t *testing.T) []crossfield.FieldSpec {
 	target, anchors := goldenDataset()
 	codec, err := crossfield.Train(target, anchors, crossfield.Training{
 		Features: 6, Epochs: 4, StepsPerEpoch: 8, Batch: 1, Seed: 7,
@@ -261,11 +309,14 @@ func regenGoldenLayeredArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []crossfield.FieldSpec{
+	return []crossfield.FieldSpec{
 		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
 		{Field: target, Codec: codec},
 	}
-	res, err := crossfield.CompressDataset(specs, crossfield.Rel(1e-3),
+}
+
+func regenGoldenLayeredArchive(t *testing.T) {
+	res, err := crossfield.CompressDataset(goldenArchiveSpecs(t), crossfield.Rel(1e-3),
 		crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3))
 	if err != nil {
 		t.Fatal(err)
@@ -273,24 +324,23 @@ func regenGoldenLayeredArchive(t *testing.T) {
 	writeGolden(t, "archive_cfc3v3.cfc", res.Blob)
 }
 
+// regenGoldenArchive writes the chunked and the monolithic non-layered
+// archives. The frozen version-1 archive_cfc3.cfc has no writer; all three
+// share one set of expectations, because under dual quantization the
+// quantized integers depend on neither the predictor nor the chunking.
 func regenGoldenArchive(t *testing.T) {
-	target, anchors := goldenDataset()
-	codec, err := crossfield.Train(target, anchors, crossfield.Training{
-		Features: 6, Epochs: 4, StepsPerEpoch: 8, Batch: 1, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []crossfield.FieldSpec{
-		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
-		{Field: target, Codec: codec},
-	}
+	specs := goldenArchiveSpecs(t)
 	res, err := crossfield.CompressDataset(specs, crossfield.Rel(1e-3),
 		crossfield.WithChunks(2*10*12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeGolden(t, "archive_cfc3.cfc", res.Blob)
+	writeGolden(t, "archive_cfc3v2.cfc", res.Blob)
+	mono, err := crossfield.CompressDataset(specs, crossfield.Rel(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGolden(t, "archive_cfc3v2_mono.cfc", mono.Blob)
 	ar, err := crossfield.OpenArchive(res.Blob)
 	if err != nil {
 		t.Fatal(err)
@@ -403,26 +453,36 @@ func TestGoldenCFC3Archive(t *testing.T) {
 	if *update {
 		regenGoldenArchive(t)
 	}
-	blob := readGolden(t, "archive_cfc3.cfc")
-	ar, err := crossfield.OpenArchive(blob)
-	if err != nil {
-		t.Fatalf("CFC3 golden archive no longer opens: %v", err)
-	}
-	names := ar.Fields()
-	if len(names) != 4 {
-		t.Fatalf("archive holds %v, want 4 fields", names)
-	}
-	for _, name := range names {
-		f, err := ar.Field(name)
+	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v2.cfc", "archive_cfc3v2_mono.cfc"} {
+		ar, err := crossfield.OpenArchive(readGolden(t, file))
 		if err != nil {
-			t.Fatalf("field %s no longer decodes: %v", name, err)
+			t.Fatalf("%s no longer opens: %v", file, err)
 		}
-		requireExact(t, "CFC3/"+name, f, fmt.Sprintf("archive_cfc3_%s.f32", name))
-	}
-	// The dependent field's manifest entry must still record its graph.
-	fi, ok := ar.FieldInfoFor("W")
-	if !ok || fi.Role != "dependent" || len(fi.Anchors) != 3 {
-		t.Fatalf("W manifest entry = %+v", fi)
+		names := ar.Fields()
+		if len(names) != 4 {
+			t.Fatalf("%s holds %v, want 4 fields", file, names)
+		}
+		for _, name := range names {
+			f, err := ar.Field(name)
+			if err != nil {
+				t.Fatalf("%s: field %s no longer decodes: %v", file, name, err)
+			}
+			requireExact(t, file+"/"+name, f, fmt.Sprintf("archive_cfc3_%s.f32", name))
+		}
+		// The dependent field's manifest entry must still record its graph.
+		fi, ok := ar.FieldInfoFor("W")
+		if !ok || fi.Role != "dependent" || len(fi.Anchors) != 3 {
+			t.Fatalf("%s: W manifest entry = %+v", file, fi)
+		}
+		want := "CFC2"
+		if file == "archive_cfc3v2_mono.cfc" {
+			want = "CFC1"
+		}
+		for _, fi := range ar.Manifest() {
+			if fi.Container != want {
+				t.Fatalf("%s: field %s payload is %s, want %s", file, fi.Name, fi.Container, want)
+			}
+		}
 	}
 }
 
@@ -603,7 +663,7 @@ func goldenPayloads(t *testing.T) []goldenPayload {
 	for _, a := range anchors {
 		sources[a.Name] = a
 	}
-	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc"} {
+	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v2.cfc", "archive_cfc3v2_mono.cfc", "archive_cfc3v3.cfc"} {
 		ar, err := crossfield.OpenArchive(readGolden(t, file))
 		if err != nil {
 			t.Fatal(err)
@@ -705,33 +765,13 @@ func TestGoldenDecodeTable(t *testing.T) {
 
 // TestFormatsSpecAgainstGoldenFixtures cross-checks docs/FORMATS.md's
 // byte-level claims against the committed fixtures and a freshly written
-// streaming archive: magic strings, version bytes, and the CFC3 v2
-// trailer geometry. If this fails, either the formats drifted (regenerate
+// streaming archive: layer tables and the CFC3 v2 trailer geometry (magic
+// strings and version bytes are TestGoldenFixturesCommitted's table). If this fails, either the formats drifted (regenerate
 // fixtures deliberately) or the spec document is stale — fix whichever is
 // wrong.
 func TestFormatsSpecAgainstGoldenFixtures(t *testing.T) {
 	if *update {
 		t.Skip("regenerating")
-	}
-	for _, tc := range []struct {
-		file    string
-		magic   string
-		version byte
-	}{
-		{"baseline_cfc1.cfc", "CFC1", 1},
-		{"baseline_cfc1v2.cfc", "CFC1", 2},
-		{"baseline_cfc1v3.cfc", "CFC1", 3},
-		{"chunked_cfc2v1.cfc", "CFC2", 1},
-		{"chunked_cfc2v2.cfc", "CFC2", 2},
-		{"chunked_cfc2v3.cfc", "CFC2", 3},
-		{"chunked_cfc2v4.cfc", "CFC2", 4},
-		{"archive_cfc3.cfc", "CFC3", 1},
-		{"archive_cfc3v3.cfc", "CFC3", 3},
-	} {
-		b := readGolden(t, tc.file)
-		if string(b[:4]) != tc.magic || b[4] != tc.version {
-			t.Errorf("%s: header %q v%d, spec says %q v%d", tc.file, b[:4], b[4], tc.magic, tc.version)
-		}
 	}
 	// Layer-table claims: version-3 CFC1 (and the chunked v4 carrying it)
 	// holds a base layer plus refinement planes whose byte prefixes grow
@@ -798,7 +838,9 @@ func TestFormatsSpecAgainstGoldenFixtures(t *testing.T) {
 }
 
 // TestGoldenFixturesCommitted fails fast with a helpful message when the
-// fixture directory is missing entirely (e.g. a partial checkout).
+// fixture directory is missing entirely (e.g. a partial checkout), and
+// asserts every container fixture's magic and version byte against the
+// fixture table.
 func TestGoldenFixturesCommitted(t *testing.T) {
 	if *update {
 		t.Skip("regenerating")
@@ -807,25 +849,22 @@ func TestGoldenFixturesCommitted(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("testdata/golden missing or empty (err=%v): run `go test -run TestGolden -update` and commit the fixtures", err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	for _, fx := range goldenFixtures {
+		b, err := os.ReadFile(goldenPath(fx.file))
+		if err != nil {
+			t.Errorf("fixture %s missing: %v", fx.file, err)
+			continue
+		}
+		if magic, version := fixtureHeader(b); magic != fx.magic || version != fx.version {
+			t.Errorf("%s: header %q v%d, want %q v%d", fx.file, magic, version, fx.magic, fx.version)
+		}
 	}
 	for _, want := range []string{
-		"baseline_cfc1.cfc", "baseline_cfc1v2.cfc", "baseline_cfc1v3.cfc", "baseline_cfc1.f32",
-		"chunked_cfc2v1.cfc", "chunked_cfc2v2.cfc", "chunked_cfc2v3.cfc", "chunked_cfc2v4.cfc", "chunked_cfc2.f32",
-		"archive_cfc3.cfc", "archive_cfc3v3.cfc",
+		"baseline_cfc1.f32", "chunked_cfc2.f32",
 		"archive_cfc3_U.f32", "archive_cfc3_V.f32", "archive_cfc3_PRES.f32", "archive_cfc3_W.f32",
 	} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("fixture %s missing (have %v)", want, names)
+		if _, err := os.Stat(goldenPath(want)); err != nil {
+			t.Errorf("expectation %s missing: %v", want, err)
 		}
 	}
 }

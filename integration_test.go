@@ -75,22 +75,16 @@ func TestFileWorkflowRoundTrip(t *testing.T) {
 	bound := quant.RelBound(1e-3)
 	var anchorsDec []*tensor.Tensor
 	for _, a := range anchorFields {
-		res, err := core.CompressBaseline(a, core.Options{Bound: bound})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := core.Decompress(res.Blob, nil)
+		blob, _ := coreCompress(t, a, nil, nil, core.Options{Bound: bound})
+		dec, err := core.Decompress(blob, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		anchorsDec = append(anchorsDec, dec)
 	}
-	res, err := core.CompressHybrid(target, model2, anchorsDec, core.Options{Bound: bound})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hybrid, st := coreCompress(t, target, model2, anchorsDec, core.Options{Bound: bound})
 	blobPath := filepath.Join(dir, "wf.cfc")
-	if err := os.WriteFile(blobPath, res.Blob, 0o644); err != nil {
+	if err := os.WriteFile(blobPath, hybrid, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(blobPath)
@@ -101,7 +95,7 @@ func TestFileWorkflowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxErr, ok, err := core.VerifyBound(target, recon, res.Stats.AbsEB)
+	maxErr, ok, err := core.VerifyBound(target, recon, st.AbsEB)
 	if err != nil || !ok {
 		t.Fatalf("file workflow bound violated: %v (err %v)", maxErr, err)
 	}

@@ -198,7 +198,7 @@ func gatherBlock(dst, src []int32, dims, lo, hi []int) []int32 {
 	}
 }
 
-// blockAlt carries the block-coding candidate data into assemble: the
+// blockAlt carries the block-coding candidate data into compressPayload: the
 // geometry and the block-independent (seam-reset) residuals. The
 // wavefront candidate is the ordinary codes array itself.
 type blockAlt struct {
@@ -241,10 +241,18 @@ func hybridPredAt3D(q []int32, ny, nx int, dq0, dq1, dq2 []float64, w []float64,
 // point, code = q − pred with the prediction's causal horizon reset to the
 // point's block origin. Interior points (all neighbors in-block) get
 // exactly the sequential codes; only seam planes differ. Blocks write
-// disjoint regions, so the loop is block-parallel.
-func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, w []float64, bias float64, method container.Method) []int32 {
+// disjoint regions, so the loop is block-parallel. weights holds the
+// hybrid weights followed by the bias (nil for the baseline).
+func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, weights []float64, method container.Method) []int32 {
 	out := make([]int32, len(q))
 	hasLor := method == container.MethodHybrid
+	var (
+		w    []float64
+		bias float64
+	)
+	if n := len(weights); n > 0 {
+		w, bias = weights[:n-1], weights[n-1]
+	}
 	parallel.For(g.total, func(b int) {
 		lo, hi := g.bounds(b)
 		switch len(dims) {

@@ -9,8 +9,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/quant"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -110,13 +112,7 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("geom: %v", err)
 		}
-		var wfit []float64
-		var bias float64
-		if weights != nil {
-			wfit = weights[:len(weights)-1]
-			bias = weights[len(weights)-1]
-		}
-		indep := blockLocalCodes(q, dims, g, dq, wfit, bias, method)
+		indep := blockLocalCodes(q, dims, g, dq, weights, method)
 
 		for _, mode := range []struct {
 			mode  byte
@@ -169,13 +165,7 @@ func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights
 	for a := range g.nb {
 		g.nb[a] = 1
 	}
-	var w []float64
-	var bias float64
-	if weights != nil {
-		w = weights[:len(weights)-1]
-		bias = weights[len(weights)-1]
-	}
-	return blockLocalCodes(q, dims, g, dq, w, bias, method)
+	return blockLocalCodes(q, dims, g, dq, weights, method)
 }
 
 // TestBlockDecodeHonorsCancellation: an already-canceled context must
@@ -196,11 +186,11 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 		{"layered-L0", Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}, 0},
 		{"layered-full", Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}, LevelFull},
 	} {
-		mono, err := CompressBaseline(field, kind.opts)
+		mono, err := compressBlob(field, nil, nil, kind.opts)
 		if err != nil {
 			t.Fatalf("%s: compress: %v", kind.name, err)
 		}
-		chunked, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: kind.opts, ChunkVoxels: field.Len() / 3})
+		chunked, err := compressBlob(field, nil, nil, withChunkVoxels(kind.opts, field.Len()/3))
 		if err != nil {
 			t.Fatalf("%s: chunked compress: %v", kind.name, err)
 		}
@@ -230,12 +220,12 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 	for _, dims := range [][]int{{3000}, {61, 83}, {13, 21, 37}} {
 		field := smoothField(t, rng, dims)
 		opts := Options{Bound: quant.RelBound(1e-3)}
-		plain, err := CompressBaseline(field, opts)
+		plain, err := compressBlob(field, nil, nil, opts)
 		if err != nil {
 			t.Fatalf("plain compress: %v", err)
 		}
 		opts.Blocks = BlockSpec{Enable: true, Edge: 16}
-		blocked, err := CompressBaseline(field, opts)
+		blocked, err := compressBlob(field, nil, nil, opts)
 		if err != nil {
 			t.Fatalf("block compress: %v", err)
 		}
@@ -266,8 +256,8 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 		}
 
 		// Chunked: CFC2 v3 container, decoded via every public entry.
-		copts := ChunkedOptions{Options: opts, ChunkVoxels: field.Len() / 3}
-		chunked, err := CompressChunked(field, nil, nil, copts)
+		copts := withChunkVoxels(opts, field.Len()/3)
+		chunked, err := compressBlob(field, nil, nil, copts)
 		if err != nil {
 			t.Fatalf("chunked block compress: %v", err)
 		}
@@ -309,7 +299,7 @@ func TestBlockSectionCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	field := smoothField(t, rng, []int{40, 50})
 	opts := Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 16}}
-	res, err := CompressBaseline(field, opts)
+	res, err := compressBlob(field, nil, nil, opts)
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
@@ -333,6 +323,80 @@ func TestBlockSectionCorruption(t *testing.T) {
 		// still decode; it must at least preserve the dims contract.
 		if fmt.Sprint(got.Shape()) != fmt.Sprint(orig.Shape()) {
 			t.Fatalf("flip at %d decoded to dims %v", pos, got.Shape())
+		}
+	}
+}
+
+// TestChunkedBlockModeAggregates pins the field-level BlockMode of a
+// chunked compression: a Hurricane Wf that block-codes monolithically
+// must report a block mode when chunked too, and the mode must be
+// block-independent exactly when every chunk chose it.
+func TestChunkedBlockModeAggregates(t *testing.T) {
+	ds, err := sim.GenerateHurricane(sim.HurricaneSpec{NZ: 16, NY: 32, NX: 32, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := ds.Field("Wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 8}}
+	mono, err := compressBlob(wf, nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mono.Stats.BlockMode == 0 {
+		t.Fatal("monolithic block compression reported no block mode")
+	}
+	chunked, err := compressBlob(wf, nil, nil, withChunkVoxels(opts, wf.Len()/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chunk.Decode(chunked.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumChunks() != 2 {
+		t.Fatalf("%d chunks, want 2", a.NumChunks())
+	}
+	want := byte(container.BlockIndependent)
+	for i := 0; i < a.NumChunks(); i++ {
+		p, err := a.Payload(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := container.Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Blocks == nil {
+			t.Fatalf("chunk %d is not block-coded", i)
+		}
+		if b.Blocks.Mode != container.BlockIndependent {
+			want = container.BlockWavefront
+		}
+	}
+	if chunked.Stats.BlockMode != want {
+		t.Fatalf("chunked BlockMode = %d, want %d (monolithic reports %d)", chunked.Stats.BlockMode, want, mono.Stats.BlockMode)
+	}
+
+	const plain, wave, indep = 0, container.BlockWavefront, container.BlockIndependent
+	for _, c := range []struct {
+		chunks []byte
+		want   byte
+	}{
+		{[]byte{plain, plain}, plain},
+		{[]byte{indep, indep}, indep},
+		{[]byte{wave, wave}, wave},
+		{[]byte{indep, wave}, wave},
+		{[]byte{plain, indep}, wave},
+	} {
+		stats := make([]Stats, len(c.chunks))
+		for i, m := range c.chunks {
+			stats[i].BlockMode = m
+		}
+		if got := aggregateChunkStats(stats, container.MethodBaseline, 1, 0).BlockMode; got != c.want {
+			t.Errorf("chunk modes %v aggregate to %d, want %d", c.chunks, got, c.want)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"repro/internal/bitstream"
 	"repro/internal/cfnn"
+	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/huffman"
 	"repro/internal/metrics"
@@ -16,132 +18,344 @@ import (
 	"repro/internal/tensor"
 )
 
-// CompressBaseline compresses a 1D/2D/3D field with the Lorenzo +
-// dual-quantization baseline.
-func CompressBaseline(field *tensor.Tensor, opts Options) (*Result, error) {
-	eb, err := resolveEB(field, opts.Bound)
-	if err != nil {
+// Compress compresses field into w: a monolithic CFC1 payload when
+// opts.ChunkVoxels is 0, a random-access CFC2 container of ~ChunkVoxels
+// values per chunk when it is positive. A nil model selects the Lorenzo
+// baseline (anchors ignored); a trained model selects the hybrid
+// cross-field pipeline (or opts.Method's cross-only ablation), with
+// anchors being the *decompressed* anchor fields, so the decompressor,
+// given the same anchors, reproduces the predictions bit for bit.
+//
+// Every field takes one path. The error bound and the layer plan are
+// resolved once over the full field, so every point, chunk seams
+// included, honors the same absolute bound. The field is planned as a
+// grid of slabs along its slowest axis (a monolithic field is a one-chunk
+// grid), one segmented CFNN pass covers every chunk, and the chunks
+// compress on a bounded worker pool: dual quantization leaves no
+// read-after-write hazard between chunks, which makes every chunk
+// independently decodable. Only the compressed payloads are ever resident,
+// never a second copy of the raw field.
+func Compress(w io.Writer, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options) (*Stats, error) {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return compressBaselineWithEB(field, eb, opts)
-}
-
-// compressBaselineWithEB is CompressBaseline with the absolute error bound
-// already resolved — the chunked engine resolves it once over the full
-// field and reuses it for every chunk.
-func compressBaselineWithEB(field *tensor.Tensor, eb float64, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	// Resolve the layer plan once so every chunk shares identical layer
+	// geometry (and bad progressive options fail before any work).
 	if err := opts.resolveProg(); err != nil {
 		return nil, err
 	}
-	if opts.prog != nil {
-		return compressProgressive(field, nil, nil, opts, container.MethodBaseline, eb)
-	}
-	endQuant := opts.Stages.Timer("quantize")
-	q, err := quant.Prequantize(field.Data(), eb)
-	endQuant()
-	if err != nil {
-		return nil, err
-	}
-	endPredict := opts.Stages.Timer("predict")
-	lor, err := predictor.LorenzoAll(q, field.Shape())
-	if err != nil {
-		endPredict()
-		return nil, err
-	}
-	codes := predictor.ResidualCodesInt(q, lor)
-	var alt *blockAlt
-	if g := blockGeomFor(opts, field.Shape()); g != nil {
-		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, nil, nil, 0, container.MethodBaseline)}
-	}
-	endPredict()
-	maxErr := achievedMaxErr(field.Data(), q, eb)
-	return assemble(field, codes, nil, nil, nil, container.MethodBaseline, eb, maxErr, opts, alt)
-}
-
-// CompressHybrid compresses a 2D/3D field with the paper's hybrid
-// cross-field pipeline. model must be trained; anchors must be the
-// *decompressed* anchor fields (so the decompressor, given the same
-// anchors, reproduces the predictions bit-for-bit).
-func CompressHybrid(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options) (*Result, error) {
-	return compressCrossField(field, model, anchors, opts, container.MethodHybrid)
-}
-
-// CompressCrossOnly compresses using only the CFNN cross-field predictions
-// (no Lorenzo term) — the Figure 6 "cross-field" configuration run as a
-// full codec, used by the ablation benches.
-func CompressCrossOnly(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options) (*Result, error) {
-	return compressCrossField(field, model, anchors, opts, container.MethodCrossOnly)
-}
-
-func compressCrossField(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options, method container.Method) (*Result, error) {
-	eb, err := resolveEB(field, opts.Bound)
-	if err != nil {
-		return nil, err
-	}
-	return compressCrossFieldWithEB(field, model, anchors, opts, method, eb, true)
-}
-
-// compressCrossFieldWithEB is the cross-field pipeline with the absolute
-// error bound pre-resolved. includeModel controls whether the CFNN weights
-// are embedded in the blob; the chunked engine passes false and stores the
-// model once at the container level instead of once per chunk.
-func compressCrossFieldWithEB(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options, method container.Method, eb float64, includeModel bool) (*Result, error) {
-	if field.Rank() != 2 && field.Rank() != 3 {
-		return nil, fmt.Errorf("core: cross-field compression needs rank 2 or 3, got %d", field.Rank())
-	}
-	for i, a := range anchors {
-		if !a.SameShape(field) {
-			return nil, fmt.Errorf("core: anchor %d shape %v != field shape %v", i, a.Shape(), field.Shape())
+	method := opts.Method
+	if model == nil {
+		if method != container.MethodBaseline {
+			return nil, fmt.Errorf("core: method %v needs a CFNN model", method)
+		}
+	} else {
+		if method == container.MethodBaseline {
+			method = container.MethodHybrid
+		}
+		if field.Rank() != 2 && field.Rank() != 3 {
+			return nil, fmt.Errorf("core: cross-field compression needs rank 2 or 3, got %d", field.Rank())
+		}
+		if len(anchors) == 0 {
+			return nil, fmt.Errorf("core: cross-field compression needs anchors")
+		}
+		for i, a := range anchors {
+			if !a.SameShape(field) {
+				return nil, fmt.Errorf("core: anchor %d shape %v != field shape %v", i, a.Shape(), field.Shape())
+			}
 		}
 	}
-	endInfer := opts.Stages.Timer("inference")
-	dq, err := predictedDQWith(model, anchors, eb, nil, opts.Arena, 0)
-	endInfer()
+	eb, err := resolveEB(field, opts.Bound)
 	if err != nil {
 		return nil, err
 	}
-	stored := model
-	if !includeModel {
-		stored = nil
+	mono := opts.ChunkVoxels == 0
+	voxels := opts.ChunkVoxels
+	if mono {
+		voxels = field.Len()
 	}
-	return compressCrossFieldDQ(field, dq, stored, opts, method, eb)
-}
-
-// compressCrossFieldDQ is the cross-field pipeline downstream of CFNN
-// inference: the predicted-diff fields arrive precomputed in prequant
-// units (dq, one slab per axis covering exactly this field). The chunked
-// engine calls it per chunk with read-only slab views of one shared
-// inference pass; stored, when non-nil, embeds the CFNN weights in the
-// blob.
-func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.resolveProg(); err != nil {
+	g, err := chunk.Plan(field.Shape(), voxels)
+	if err != nil {
 		return nil, err
 	}
-	if opts.prog != nil {
-		return compressProgressive(field, dq, stored, opts, method, eb)
+	var modelBlob []byte
+	if model != nil {
+		var mb bytes.Buffer
+		if err := model.Save(&mb); err != nil {
+			return nil, err
+		}
+		modelBlob = mb.Bytes()
 	}
+	// A monolithic payload carries the model and the anchor names itself;
+	// a CFC2 container stores them once in its header instead. The arena
+	// is scratch for the single shared inference pass below, never for the
+	// concurrent chunk workers.
+	payloadOpts, payloadModel := opts, modelBlob
+	payloadOpts.Arena = nil
+	if !mono {
+		payloadOpts.AnchorNames, payloadModel = nil, nil
+	}
+	// Shared-inference stage: one segmented CFNN pass over the full anchor
+	// set (segment = chunk slab, so every chunk's predictions are
+	// bit-identical to per-chunk inference) replaces N per-chunk passes on
+	// N model clones. Workers below receive read-only slab views.
+	var inf *fieldInference
+	if model != nil {
+		endInfer := opts.Stages.Timer("inference")
+		inf, err = newFieldInference(model, anchors, eb, g, opts.Arena, opts.workers())
+		endInfer()
+		if err != nil {
+			return nil, err
+		}
+	}
+	n := g.NumChunks()
+	payloads := make([][]byte, n)
+	chunkStats := make([]Stats, n)
+	err = parallel.ForErr(opts.workers(), n, func(i int) error {
+		sub, err := g.View(field, i)
+		if err != nil {
+			return err
+		}
+		var dq [][]float64
+		if inf != nil {
+			dq = inf.chunkDQ(i)
+		}
+		res, err := compressPayload(sub, dq, payloadModel, method, eb, payloadOpts)
+		if err != nil {
+			if mono {
+				return err
+			}
+			return fmt.Errorf("core: chunk %d: %w", i, err)
+		}
+		payloads[i] = res.Blob
+		chunkStats[i] = res.Stats
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if mono {
+		if _, err := w.Write(payloads[0]); err != nil {
+			return nil, err
+		}
+		return &chunkStats[0], nil
+	}
+	st := aggregateChunkStats(chunkStats, method, eb, len(modelBlob))
+	hdr := &chunk.Header{
+		Method:     method,
+		BoundMode:  byte(opts.Bound.Mode),
+		BoundValue: opts.Bound.Value,
+		AbsEB:      eb,
+		Dims:       append([]int(nil), field.Shape()...),
+		Anchors:    append([]string(nil), opts.AnchorNames...),
+		Model:      modelBlob,
+		Blocks:     st.BlockMode != 0,
+		Layered:    opts.prog != nil,
+	}
+	maxErrs := make([]float64, n)
+	for i, cs := range chunkStats {
+		maxErrs[i] = cs.MaxErr
+	}
+	total, err := chunk.EncodeTo(w, hdr, g, payloads, maxErrs)
+	if err != nil {
+		return nil, err
+	}
+	st.setCompressedBytes(total)
+	return &st, nil
+}
+
+// aggregateChunkStats folds per-chunk stats into one field-level Stats
+// (compressed size still unset). The field is block-coded when any chunk
+// is, and block-independent only when every chunk is.
+func aggregateChunkStats(chunkStats []Stats, method container.Method, eb float64, modelBytes int) Stats {
+	st := Stats{Method: method, ModelBytes: modelBytes, AbsEB: eb, BlockMode: container.BlockIndependent}
+	var entropy float64
+	blocked := false
+	for _, cs := range chunkStats {
+		st.OriginalBytes += cs.OriginalBytes
+		st.TableBytes += cs.TableBytes
+		st.PayloadBytes += cs.PayloadBytes
+		entropy += cs.CodeEntropy * float64(cs.OriginalBytes)
+		if cs.MaxErr > st.MaxErr {
+			st.MaxErr = cs.MaxErr
+		}
+		blocked = blocked || cs.BlockMode != 0
+		if cs.BlockMode != container.BlockIndependent {
+			st.BlockMode = container.BlockWavefront
+		}
+	}
+	if !blocked {
+		st.BlockMode = 0
+	}
+	if st.OriginalBytes > 0 {
+		st.CodeEntropy = entropy / float64(st.OriginalBytes)
+	}
+	return st
+}
+
+// setCompressedBytes records the compressed size and the ratio and bit
+// rate that follow from it.
+func (st *Stats) setCompressedBytes(n int) {
+	st.CompressedBytes = n
+	st.Ratio = metrics.CompressionRatio(st.OriginalBytes, n)
+	st.BitRate = metrics.BitRate(st.OriginalBytes/4, n)
+}
+
+// compressPayload compresses one payload (a whole field, or one chunk of
+// a chunked field) into a CFC1 blob: prequantize once, predict residual
+// codes, entropy-code them (block-major when opts.Blocks applies, as a
+// base layer plus refinement bit planes when opts is layered), run the
+// lossless backend, and frame the result. dq holds the CFNN difference
+// predictions covering exactly this payload in prequant units (nil for
+// the baseline); modelBlob, when non-nil, embeds the CFNN weights.
+func compressPayload(field *tensor.Tensor, dq [][]float64, modelBlob []byte, method container.Method, eb float64, opts Options) (*Result, error) {
 	endQuant := opts.Stages.Timer("quantize")
 	q, err := quant.Prequantize(field.Data(), eb)
 	endQuant()
 	if err != nil {
 		return nil, err
 	}
+	dims := field.Shape()
+	// A layered payload predicts its base layer qb = q >> shift, against
+	// difference predictions scaled by the same exact 2^-shift.
+	base, baseDQ := q, dq
+	if opts.prog != nil {
+		shift := opts.prog.shift
+		base = make([]int32, len(q))
+		parallel.ForRange(len(q), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				base[i] = q[i] >> shift
+			}
+		})
+		baseDQ = scaleDQ(dq, shift)
+	}
 	endPredict := opts.Stages.Timer("predict")
-	// Candidate predictions over the full field (compression side is
-	// parallel thanks to dual quantization).
-	feats, err := candidateFeatures(q, field.Shape(), dq, method)
+	codes, weights, err := predictCodes(base, dims, baseDQ, method, opts)
+	var alt *blockAlt
+	if g := blockGeomFor(opts, dims); err == nil && g != nil {
+		alt = &blockAlt{geom: g, indep: blockLocalCodes(base, dims, g, baseDQ, weights, method)}
+	}
+	endPredict()
 	if err != nil {
-		endPredict()
 		return nil, err
+	}
+
+	blob := &container.Blob{
+		Header: container.Header{
+			Method:     method,
+			BoundMode:  byte(opts.Bound.Mode),
+			BoundValue: opts.Bound.Value,
+			AbsEB:      eb,
+			Dims:       append([]int(nil), dims...),
+			BackendID:  opts.Backend.ID(),
+			Hybrid:     weights,
+			Anchors:    append([]string(nil), opts.AnchorNames...),
+		},
+		Model: modelBlob,
+	}
+	endHuff := opts.Stages.Timer("huffman")
+	var (
+		codec *huffman.Codec
+		raw   []byte
+	)
+	if alt != nil {
+		codec, raw, blob.Blocks, codes, err = chooseBlockCoding(codes, alt, dims, opts.MaxSymbols)
+	} else {
+		codec, raw, err = huffmanEncode(codes, opts.MaxSymbols)
+	}
+	endHuff()
+	if err != nil {
+		return nil, err
+	}
+	if blob.Table, blob.Payload, err = finishStream(codec, raw, opts); err != nil {
+		return nil, err
+	}
+	blob.PayloadRaw = len(raw)
+	maxErr := achievedMaxErr(field.Data(), q, eb)
+	if opts.prog != nil {
+		if err := addRefinementLayers(blob, field.Data(), q, eb, maxErr, opts); err != nil {
+			return nil, err
+		}
+	}
+	enc, err := container.Encode(blob)
+	if err != nil {
+		return nil, err
+	}
+	st := Stats{
+		Method:        method,
+		OriginalBytes: field.Len() * 4,
+		ModelBytes:    len(modelBlob),
+		TableBytes:    len(blob.Table),
+		PayloadBytes:  len(blob.Payload),
+		AbsEB:         eb,
+		MaxErr:        maxErr,
+		CodeEntropy:   metrics.CodeEntropy(codes),
+		HybridWeights: weights,
+	}
+	if blob.Layers != nil {
+		for l, layer := range blob.Layers.Layers {
+			st.TableBytes += len(layer.Table)
+			st.PayloadBytes += len(blob.LayerData[l])
+		}
+	}
+	if blob.Blocks != nil {
+		st.BlockMode = blob.Blocks.Mode
+	}
+	st.setCompressedBytes(len(enc))
+	return &Result{Blob: enc, Stats: st}, nil
+}
+
+// huffmanEncode builds a canonical Huffman code for one symbol stream and
+// encodes the stream with it.
+func huffmanEncode(codes []int32, maxSymbols int) (*huffman.Codec, []byte, error) {
+	codec, err := huffman.Build(codes, maxSymbols)
+	if err != nil {
+		return nil, nil, err
+	}
+	var w bitstream.Writer
+	if err := codec.Encode(&w, codes); err != nil {
+		return nil, nil, err
+	}
+	return codec, w.Bytes(), nil
+}
+
+// finishStream runs the lossless backend over one entropy-coded stream
+// and marshals its Huffman table.
+func finishStream(codec *huffman.Codec, raw []byte, opts Options) (table, enc []byte, err error) {
+	endFlate := opts.Stages.Timer("flate")
+	enc, err = opts.Backend.Compress(raw)
+	endFlate()
+	if err != nil {
+		return nil, nil, err
+	}
+	table, err = codec.MarshalBinary()
+	return table, enc, err
+}
+
+// predictCodes computes the residual codes q − prediction: Lorenzo for the
+// baseline; for the cross-field methods, the least-squares fit of the
+// candidate predictions (Lorenzo and the CFNN differences dq for hybrid,
+// dq alone for cross-only). weights holds the fitted weights followed by
+// the bias, nil for the baseline. Dual quantization makes every
+// prediction a function of prequant values, so the loop is parallel.
+func predictCodes(q []int32, dims []int, dq [][]float64, method container.Method, opts Options) (codes []int32, weights []float64, err error) {
+	if method == container.MethodBaseline {
+		lor, err := predictor.LorenzoAll(q, dims)
+		if err != nil {
+			return nil, nil, err
+		}
+		return predictor.ResidualCodesInt(q, lor), nil, nil
+	}
+	feats, err := candidateFeatures(q, dims, dq, method)
+	if err != nil {
+		return nil, nil, err
 	}
 	hy, err := fitHybrid(feats, q, opts)
 	if err != nil {
-		endPredict()
-		return nil, err
+		return nil, nil, err
 	}
-	codes := make([]int32, len(q))
+	codes = make([]int32, len(q))
 	parallel.ForRange(len(q), func(lo, hi int) {
 		row := make([]float64, len(feats))
 		for i := lo; i < hi; i++ {
@@ -152,14 +366,7 @@ func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mod
 			codes[i] = q[i] - int32(pred)
 		}
 	})
-	var alt *blockAlt
-	if g := blockGeomFor(opts, field.Shape()); g != nil {
-		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, dq, hy.W, hy.Bias, method)}
-	}
-	endPredict()
-	weights := append(append([]float64(nil), hy.W...), hy.Bias)
-	maxErr := achievedMaxErr(field.Data(), q, eb)
-	return assemble(field, codes, stored, nil, weights, method, eb, maxErr, opts, alt)
+	return codes, append(append([]float64(nil), hy.W...), hy.Bias), nil
 }
 
 // candidateFeatures builds the per-point candidate predictions:
@@ -207,15 +414,6 @@ func candidateFeatures(q []int32, dims []int, dq [][]float64, method container.M
 	return feats, nil
 }
 
-// marshalModel serializes CFNN weights for embedding in a container.
-func marshalModel(model *cfnn.Model) ([]byte, error) {
-	var mb bytes.Buffer
-	if err := model.Save(&mb); err != nil {
-		return nil, err
-	}
-	return mb.Bytes(), nil
-}
-
 func stridesOf(dims []int) []int {
 	s := make([]int, len(dims))
 	acc := 1
@@ -251,95 +449,4 @@ func fitHybrid(feats [][]float64, q []int32, opts Options) (*predictor.Hybrid, e
 		target[i] = float64(q[p])
 	}
 	return predictor.Fit(sub, target)
-}
-
-// assemble entropy-codes the quantization codes and builds the container.
-// alt, when non-nil, switches the payload to block coding: both the
-// wavefront candidate (codes as-is, reordered block-major) and the
-// block-independent one (alt.indep) are encoded and the smaller wins.
-func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, anchors []*tensor.Tensor, hybrid []float64, method container.Method, eb, maxErr float64, opts Options, alt *blockAlt) (*Result, error) {
-	endHuff := opts.Stages.Timer("huffman")
-	var (
-		codec      *huffman.Codec
-		payloadRaw []byte
-		blocks     *container.BlockSection
-		err        error
-	)
-	if alt != nil {
-		codec, payloadRaw, blocks, codes, err = chooseBlockCoding(codes, alt, field.Shape(), opts.MaxSymbols)
-		if err != nil {
-			endHuff()
-			return nil, err
-		}
-	} else {
-		codec, err = huffman.Build(codes, opts.MaxSymbols)
-		if err != nil {
-			endHuff()
-			return nil, err
-		}
-		var w bitstream.Writer
-		if err := codec.Encode(&w, codes); err != nil {
-			endHuff()
-			return nil, err
-		}
-		payloadRaw = w.Bytes()
-	}
-	endHuff()
-	endFlate := opts.Stages.Timer("flate")
-	payload, err := opts.Backend.Compress(payloadRaw)
-	endFlate()
-	if err != nil {
-		return nil, err
-	}
-	table, err := codec.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var modelBlob []byte
-	if model != nil {
-		if modelBlob, err = marshalModel(model); err != nil {
-			return nil, err
-		}
-	}
-	blob := &container.Blob{
-		Header: container.Header{
-			Method:     method,
-			BoundMode:  byte(opts.Bound.Mode),
-			BoundValue: opts.Bound.Value,
-			AbsEB:      eb,
-			Dims:       append([]int(nil), field.Shape()...),
-			BackendID:  opts.Backend.ID(),
-			Hybrid:     hybrid,
-			Anchors:    append([]string(nil), opts.AnchorNames...),
-		},
-		Model:      modelBlob,
-		Table:      table,
-		Blocks:     blocks,
-		PayloadRaw: len(payloadRaw),
-		Payload:    payload,
-	}
-	_ = anchors // anchors participate only via the model's dq fields
-	enc, err := container.Encode(blob)
-	if err != nil {
-		return nil, err
-	}
-	origBytes := field.Len() * 4
-	st := Stats{
-		Method:          method,
-		OriginalBytes:   origBytes,
-		CompressedBytes: len(enc),
-		ModelBytes:      len(modelBlob),
-		TableBytes:      len(table),
-		PayloadBytes:    len(payload),
-		AbsEB:           eb,
-		MaxErr:          maxErr,
-		Ratio:           metrics.CompressionRatio(origBytes, len(enc)),
-		BitRate:         metrics.BitRate(field.Len(), len(enc)),
-		CodeEntropy:     metrics.CodeEntropy(codes),
-		HybridWeights:   hybrid,
-	}
-	if blocks != nil {
-		st.BlockMode = blocks.Mode
-	}
-	return &Result{Blob: enc, Stats: st}, nil
 }

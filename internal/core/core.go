@@ -3,28 +3,26 @@
 // cross-field prediction) → canonical Huffman coding → lossless backend →
 // self-describing container.
 //
-// Two compression entry points exist:
-//
-//   - CompressBaseline: the paper's baseline — SZ3 with the Lorenzo
-//     predictor, modified to dual quantization (Section IV-A2).
-//   - CompressHybrid: the paper's contribution — CFNN cross-field difference
-//     predictions fused with Lorenzo by the learned hybrid model
-//     (Sections III-B/C/D).
+// Compress is the one compression entry point. The model picks the
+// method: nil runs the paper's baseline, SZ3's Lorenzo predictor modified
+// to dual quantization (Section IV-A2); a trained CFNN runs the paper's
+// contribution, CFNN cross-field difference predictions fused with
+// Lorenzo by the learned hybrid model (Sections III-B/C/D).
+// Options.ChunkVoxels picks the container: 0 writes one monolithic CFC1
+// payload, a positive value a random-access CFC2 container of
+// independently decodable slabs compressed in parallel. Both are one
+// path: a monolithic field is a one-chunk grid, and CFNN inference runs
+// once per field in a shared segmented pass (see inference.go).
 //
 // Decode reverses either (see decode.go); Decompress is its whole-field,
 // full-fidelity shorthand. For hybrid blobs the caller must supply the
 // same decompressed anchor fields the compressor used; everything else
 // (model weights, hybrid weights, Huffman table) travels inside the blob
-// and is charged to the compressed size.
-//
-// On top of the monolithic pipeline sits the chunked engine
-// (CompressChunked/CompressChunkedTo): fields split into independent
-// slabs, compressed in parallel into a random-access CFC2 container, with
-// CFNN inference run once per field by a shared segmented pass (see
-// inference.go). Decode serves a whole field or one chunk at any
-// progressive level; a one-chunk request takes full anchor fields or
-// anchor data covering just the chunk's slab range — the serving layer's
-// way to decode dependent chunks without materializing whole anchors.
+// and is charged to the compressed size. Decode serves a whole field or
+// one chunk at any progressive level; a one-chunk request takes full
+// anchor fields or anchor data covering just the chunk's slab range — the
+// serving layer's way to decode dependent chunks without materializing
+// whole anchors.
 package core
 
 import (
@@ -47,6 +45,21 @@ import (
 type Options struct {
 	// Bound is the error bound (required).
 	Bound quant.Bound
+	// ChunkVoxels selects the container: 0 writes a monolithic CFC1
+	// payload; a positive value writes a CFC2 container of chunks of
+	// roughly that many values. Chunks are slabs along the slowest axis,
+	// so the realized size is rounded to whole slabs (minimum one).
+	// Negative values are rejected with an error.
+	ChunkVoxels int
+	// Workers bounds how many chunks are compressed concurrently and the
+	// CFNN kernel parallelism; 0 means parallel.Workers() (GOMAXPROCS).
+	// Negative values are rejected with an error.
+	Workers int
+	// Method selects the cross-field predictor when a model is given:
+	// the zero value (container.MethodBaseline) means MethodHybrid, and
+	// MethodCrossOnly runs the CFNN predictions alone (the Figure 6
+	// ablation). Without a model only the baseline exists.
+	Method container.Method
 	// Backend is the lossless stage; nil means lossless.Default() (flate).
 	Backend lossless.Backend
 	// MaxSymbols caps the Huffman alphabet; 0 means the SZ-style default.
@@ -80,6 +93,25 @@ type Options struct {
 	// Progressive and the resolved error bound so every chunk of a chunked
 	// compression shares identical layer geometry.
 	prog *progPlan
+}
+
+// validate rejects option values that would otherwise be silently treated
+// as defaults — a negative count is always a caller bug.
+func (o Options) validate() error {
+	if o.ChunkVoxels < 0 {
+		return fmt.Errorf("core: ChunkVoxels must be >= 0 (0 = monolithic), got %d", o.ChunkVoxels)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("core: Workers must be >= 0 (0 = GOMAXPROCS), got %d", o.Workers)
+	}
+	return nil
+}
+
+func (o Options) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return parallel.Workers()
 }
 
 func (o Options) withDefaults() Options {

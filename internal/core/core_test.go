@@ -22,6 +22,22 @@ func decodeAt(blob []byte, anchors []*tensor.Tensor, req Request) (*tensor.Tenso
 	return Decode(context.Background(), bytes.NewReader(blob), int64(len(blob)), anchors, req)
 }
 
+// compressBlob runs Compress into memory.
+func compressBlob(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options) (*Result, error) {
+	var buf bytes.Buffer
+	st, err := Compress(&buf, field, model, anchors, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Blob: buf.Bytes(), Stats: *st}, nil
+}
+
+// withChunkVoxels returns opts writing chunks of ~voxels values.
+func withChunkVoxels(opts Options, voxels int) Options {
+	opts.ChunkVoxels = voxels
+	return opts
+}
+
 // smoothField2D builds a smooth 2D test field.
 func smoothField2D(ny, nx int, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
@@ -63,7 +79,7 @@ func checkBound(t *testing.T, orig, recon *tensor.Tensor, eb float64) {
 func TestBaselineRoundTrip2D(t *testing.T) {
 	f := smoothField2D(48, 56, 1)
 	opts := Options{Bound: quant.AbsBound(0.05)}
-	res, err := CompressBaseline(f, opts)
+	res, err := compressBlob(f, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +96,7 @@ func TestBaselineRoundTrip2D(t *testing.T) {
 func TestBaselineRoundTrip3D(t *testing.T) {
 	f := smoothField3D(8, 24, 24, 2)
 	opts := Options{Bound: quant.RelBound(1e-3)}
-	res, err := CompressBaseline(f, opts)
+	res, err := compressBlob(f, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +112,7 @@ func TestBaselineRoundTrip1D(t *testing.T) {
 	for i := range f.Data() {
 		f.Data()[i] = float32(math.Sin(float64(i) / 20))
 	}
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(1e-3)})
+	res, err := compressBlob(f, nil, nil, Options{Bound: quant.AbsBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +125,7 @@ func TestBaselineRoundTrip1D(t *testing.T) {
 
 func TestBaselineStatsConsistency(t *testing.T) {
 	f := smoothField2D(32, 32, 3)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compressBlob(f, nil, nil, Options{Bound: quant.AbsBound(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +172,7 @@ func TestHybridRoundTrip2D(t *testing.T) {
 	model := trainTinyModel(t, anchors, target)
 
 	opts := Options{Bound: quant.AbsBound(0.02), AnchorNames: []string{"A"}}
-	res, err := CompressHybrid(target, model, anchors, opts)
+	res, err := compressBlob(target, model, anchors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestHybridRoundTrip3D(t *testing.T) {
 	model := trainTinyModel(t, anchors, target)
 
 	opts := Options{Bound: quant.RelBound(1e-3)}
-	res, err := CompressHybrid(target, model, anchors, opts)
+	res, err := compressBlob(target, model, anchors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +216,7 @@ func TestCrossOnlyRoundTrip(t *testing.T) {
 	anchor := target.Clone()
 	anchors := []*tensor.Tensor{anchor}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressCrossOnly(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compressBlob(target, model, anchors, Options{Bound: quant.AbsBound(0.05), Method: container.MethodCrossOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +237,7 @@ func TestHybridNeedsAnchorsAtDecompress(t *testing.T) {
 	target := smoothField2D(32, 32, 7)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compressBlob(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +251,7 @@ func TestDecompressCorruptBlob(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	f := smoothField2D(16, 16, 8)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.1)})
+	res, err := compressBlob(f, nil, nil, Options{Bound: quant.AbsBound(0.1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +271,14 @@ func TestDecompressCorruptBlob(t *testing.T) {
 
 func TestCompressInvalidBound(t *testing.T) {
 	f := smoothField2D(16, 16, 9)
-	if _, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0)}); err == nil {
+	if _, err := compressBlob(f, nil, nil, Options{Bound: quant.AbsBound(0)}); err == nil {
 		t.Fatal("expected invalid-bound error")
 	}
 }
 
 func TestBaselineBeatsStoreOnSmoothData(t *testing.T) {
 	f := smoothField2D(64, 64, 10)
-	flate, err := CompressBaseline(f, Options{Bound: quant.RelBound(1e-3)})
+	flate, err := compressBlob(f, nil, nil, Options{Bound: quant.RelBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +289,7 @@ func TestBaselineBeatsStoreOnSmoothData(t *testing.T) {
 
 func TestStoreBackendRoundTrip(t *testing.T) {
 	f := smoothField2D(24, 24, 11)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.05), Backend: lossless.Store{}})
+	res, err := compressBlob(f, nil, nil, Options{Bound: quant.AbsBound(0.05), Backend: lossless.Store{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +327,11 @@ func TestHybridImprovesEntropyWithInformativeAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Bound: quant.RelBound(1e-3)}
-	base, err := CompressBaseline(target, opts)
+	base, err := compressBlob(target, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := CompressHybrid(target, m, anchors, opts)
+	hyb, err := compressBlob(target, m, anchors, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +389,7 @@ func TestBaselineBoundProperty(t *testing.T) {
 				field.Set2(float32(5*math.Sin(float64(i+j)/4)+rng.NormFloat64()), i, j)
 			}
 		}
-		res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(eb)})
+		res, err := compressBlob(field, nil, nil, Options{Bound: quant.AbsBound(eb)})
 		if err != nil {
 			return false
 		}
@@ -395,7 +411,7 @@ func TestDecompressDeterministic(t *testing.T) {
 	target := smoothField2D(32, 32, 20)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.03)})
+	res, err := compressBlob(target, model, anchors, Options{Bound: quant.AbsBound(0.03)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +432,7 @@ func TestDecompressDeterministic(t *testing.T) {
 
 func TestPeekStats(t *testing.T) {
 	f := smoothField2D(16, 16, 21)
-	res, err := CompressBaseline(f, Options{Bound: quant.RelBound(1e-2)})
+	res, err := compressBlob(f, nil, nil, Options{Bound: quant.RelBound(1e-2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestDecompressArbitraryBytesNeverPanics(t *testing.T) {
 // in Huffman padding). Never a panic.
 func TestDecompressSingleByteFlips(t *testing.T) {
 	field := smoothField2D(16, 16, 50)
-	res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compressBlob(field, nil, nil, Options{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,7 @@ func TestDecompressSingleByteFlips(t *testing.T) {
 // downstream can go out of bounds.
 func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
 	field := smoothField2D(24, 24, 50)
-	res, err := CompressChunked(field, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05), Blocks: BlockSpec{Enable: true, Edge: 8}},
-		ChunkVoxels: 24 * 24 / 3,
-	})
+	res, err := compressBlob(field, nil, nil, Options{Bound: quant.AbsBound(0.05), Blocks: BlockSpec{Enable: true, Edge: 8}, ChunkVoxels: 24 * 24 / 3})
 	if err != nil {
 		t.Fatal(err)
 	}

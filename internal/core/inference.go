@@ -1,7 +1,7 @@
 package core
 
-// The shared-inference stage: chunked hybrid compression and decompression
-// run CFNN inference exactly once per field, not once per chunk. One
+// The shared-inference stage: hybrid compression and decompression run
+// CFNN inference exactly once per field, not once per chunk. One
 // segmented PredictDiffsWith pass (segment = chunk slab, so every chunk's
 // predictions are bit-identical to inference over that chunk's anchor
 // views alone) produces full-field predicted-diff slabs in prequant units;
@@ -26,8 +26,8 @@ type fieldInference struct {
 	g  *chunk.Grid
 }
 
-// newFieldInference runs the one-pass segmented inference for a chunked
-// hybrid field. arena may be nil (private scratch) or shared across
+// newFieldInference runs the one-pass segmented inference for a hybrid
+// field (a monolithic field is a one-chunk grid). arena may be nil (private scratch) or shared across
 // sequential calls — e.g. across the fields of one dataset archive — to
 // amortize buffer warmup; workers bounds kernel parallelism.
 func newFieldInference(model *cfnn.Model, anchors []*tensor.Tensor, eb float64, g *chunk.Grid, arena *nn.Arena, workers int) (*fieldInference, error) {

@@ -22,15 +22,8 @@ import (
 	"hash/crc32"
 	"math"
 
-	"repro/internal/bitstream"
-	"repro/internal/cfnn"
 	"repro/internal/container"
-	"repro/internal/huffman"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/predictor"
-	"repro/internal/quant"
-	"repro/internal/tensor"
 )
 
 // ProgressiveSpec configures layered compression.
@@ -122,12 +115,9 @@ func (o *Options) resolveProg() error {
 }
 
 // achievedMaxErrAtLevel is achievedMaxErr for a partial reconstruction
-// with r refinement bits still unknown: the decoder holds q with its low r
+// with r > 0 refinement bits still unknown: the decoder holds q with its low r
 // bits dropped and fills the gap with the interval midpoint.
 func achievedMaxErrAtLevel(data []float32, q []int32, eb float64, r int) float64 {
-	if r <= 0 {
-		return achievedMaxErr(data, q, eb)
-	}
 	const grain = 1 << 15
 	s := 2 * eb
 	mid := int32(1) << (r - 1)
@@ -148,30 +138,6 @@ func achievedMaxErrAtLevel(data []float32, q []int32, eb float64, r int) float64
 			return acc
 		},
 		math.Max)
-}
-
-// encodeLayerCodes entropy-codes one layer's symbol stream and runs the
-// lossless backend, returning the marshaled Huffman table, the encoded
-// payload, and the raw (pre-lossless) length.
-func encodeLayerCodes(codes []int32, opts Options) (table, enc []byte, rawLen int, err error) {
-	codec, err := huffman.Build(codes, opts.MaxSymbols)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var w bitstream.Writer
-	if err := codec.Encode(&w, codes); err != nil {
-		return nil, nil, 0, err
-	}
-	raw := w.Bytes()
-	enc, err = opts.Backend.Compress(raw)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	table, err = codec.MarshalBinary()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return table, enc, len(raw), nil
 }
 
 // scaleDQ returns dq scaled by 2^-shift — the prequant-unit difference
@@ -197,153 +163,51 @@ func scaleDQ(dq [][]float64, shift int) [][]float64 {
 	return out
 }
 
-// compressProgressive is the layered pipeline shared by the baseline and
-// cross-field paths: split q, run the normal prediction stack on the base,
-// bit-plane the remainder, and assemble a CFC1 v3 blob. dq (non-nil only
-// for cross-field methods) arrives in full-scale prequant units.
-func compressProgressive(field *tensor.Tensor, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
+// addRefinementLayers turns a blob holding an entropy-coded base layer
+// (the residuals of qb = q >> shift) into a layered payload: the base moves
+// to layer 0, and each refinement bit plane of the dropped low bits, most
+// significant first, is Huffman-coded, lossless-compressed and CRC'd on
+// its own. Every level records its achieved max error, so serving can
+// advertise measured (not just provable) bounds per level; maxErr is the
+// deepest, full-fidelity level's.
+func addRefinementLayers(blob *container.Blob, data []float32, q []int32, eb, maxErr float64, opts Options) error {
 	plan := opts.prog
-	endQuant := opts.Stages.Timer("quantize")
-	q, err := quant.Prequantize(field.Data(), eb)
-	endQuant()
-	if err != nil {
-		return nil, err
-	}
-	shift := plan.shift
-	n := len(q)
-	qb := make([]int32, n)
-	rem := make([]int32, n)
-	parallel.ForRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// Arithmetic shift floors toward -inf, so rem is always in
-			// [0, 2^shift) regardless of sign.
-			qb[i] = q[i] >> shift
-			rem[i] = q[i] - qb[i]<<shift
-		}
-	})
-
-	// Base layer: the ordinary prediction pipeline over qb.
-	endPredict := opts.Stages.Timer("predict")
-	var (
-		codes   []int32
-		weights []float64
-	)
-	if method == container.MethodBaseline {
-		lor, err := predictor.LorenzoAll(qb, field.Shape())
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		codes = predictor.ResidualCodesInt(qb, lor)
-	} else {
-		dqb := scaleDQ(dq, shift)
-		feats, err := candidateFeatures(qb, field.Shape(), dqb, method)
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		hy, err := fitHybrid(feats, qb, opts)
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		codes = make([]int32, n)
-		parallel.ForRange(n, func(lo, hi int) {
-			row := make([]float64, len(feats))
-			for i := lo; i < hi; i++ {
-				for k := range feats {
-					row[k] = feats[k][i]
-				}
-				pred := roundHalfAway(clampPred(hy.Apply(row)))
-				codes[i] = qb[i] - int32(pred)
-			}
-		})
-		weights = append(append([]float64(nil), hy.W...), hy.Bias)
-	}
-	endPredict()
-
-	// Entropy-code the base and each refinement plane independently.
-	endHuff := opts.Stages.Timer("huffman")
 	layers := make([]container.Layer, plan.levels())
-	data := make([][]byte, plan.levels())
-	baseTable, baseEnc, baseRaw, err := encodeLayerCodes(codes, opts)
-	if err != nil {
-		endHuff()
-		return nil, err
-	}
-	layers[0] = container.Layer{RawLen: baseRaw, EncLen: len(baseEnc), CRC: crc32.ChecksumIEEE(baseEnc)}
-	data[0] = baseEnc
-	plane := make([]int32, n)
+	layerData := make([][]byte, plan.levels())
+	layers[0] = container.Layer{RawLen: blob.PayloadRaw, EncLen: len(blob.Payload), CRC: crc32.ChecksumIEEE(blob.Payload)}
+	layerData[0] = blob.Payload
+	plane := make([]int32, len(q))
 	for l, b := range plan.bits {
+		// Bits [r, r+b) of q, which an arithmetic shift reads the same
+		// for either sign.
 		r := plan.remaining(l + 1)
 		mask := int32(1)<<b - 1
-		parallel.ForRange(n, func(lo, hi int) {
+		parallel.ForRange(len(q), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				plane[i] = (rem[i] >> r) & mask
+				plane[i] = (q[i] >> r) & mask
 			}
 		})
-		table, enc, raw, err := encodeLayerCodes(plane, opts)
+		endHuff := opts.Stages.Timer("huffman")
+		codec, raw, err := huffmanEncode(plane, opts.MaxSymbols)
+		endHuff()
 		if err != nil {
-			endHuff()
-			return nil, err
+			return err
 		}
-		layers[l+1] = container.Layer{Bits: b, Table: table, RawLen: raw, EncLen: len(enc), CRC: crc32.ChecksumIEEE(enc)}
-		data[l+1] = enc
-	}
-	endHuff()
-
-	// Per-level achieved errors, recorded in the layer table so serving
-	// can advertise measured (not just provable) bounds per level.
-	for l := range layers {
-		layers[l].MaxErr = achievedMaxErrAtLevel(field.Data(), q, eb, plan.remaining(l))
-	}
-
-	blob := &container.Blob{
-		Header: container.Header{
-			Method:     method,
-			BoundMode:  byte(opts.Bound.Mode),
-			BoundValue: opts.Bound.Value,
-			AbsEB:      eb,
-			Dims:       append([]int(nil), field.Shape()...),
-			BackendID:  opts.Backend.ID(),
-			Hybrid:     weights,
-			Anchors:    append([]string(nil), opts.AnchorNames...),
-		},
-		Table:     baseTable,
-		Layers:    &container.LayerSection{Shift: shift, Layers: layers},
-		LayerData: data,
-	}
-	if stored != nil {
-		mb, err := marshalModel(stored)
+		table, enc, err := finishStream(codec, raw, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		blob.Model = mb
+		layers[l+1] = container.Layer{Bits: b, Table: table, RawLen: len(raw), EncLen: len(enc), CRC: crc32.ChecksumIEEE(enc)}
+		layerData[l+1] = enc
 	}
-	enc, err := container.Encode(blob)
-	if err != nil {
-		return nil, err
-	}
-	origBytes := field.Len() * 4
-	tableBytes := len(baseTable)
-	payloadBytes := 0
 	for l := range layers {
-		tableBytes += len(layers[l].Table)
-		payloadBytes += layers[l].EncLen
+		layers[l].MaxErr = maxErr
+		if r := plan.remaining(l); r > 0 {
+			layers[l].MaxErr = achievedMaxErrAtLevel(data, q, eb, r)
+		}
 	}
-	st := Stats{
-		Method:          method,
-		OriginalBytes:   origBytes,
-		CompressedBytes: len(enc),
-		ModelBytes:      len(blob.Model),
-		TableBytes:      tableBytes,
-		PayloadBytes:    payloadBytes,
-		AbsEB:           eb,
-		MaxErr:          layers[len(layers)-1].MaxErr,
-		Ratio:           metrics.CompressionRatio(origBytes, len(enc)),
-		BitRate:         metrics.BitRate(field.Len(), len(enc)),
-		CodeEntropy:     metrics.CodeEntropy(codes),
-		HybridWeights:   weights,
-	}
-	return &Result{Blob: enc, Stats: st}, nil
+	blob.Layers = &container.LayerSection{Shift: plan.shift, Layers: layers}
+	blob.LayerData = layerData
+	blob.Payload, blob.PayloadRaw = nil, 0
+	return nil
 }

@@ -39,21 +39,15 @@ func maxAbsDiff(a, b []float32) float64 {
 // per-level errors.
 func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, chunkVoxels int) []float64 {
 	t.Helper()
-	var blob []byte
-	var st Stats
-	if chunked {
-		res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: chunkVoxels})
-		if err != nil {
-			t.Fatalf("compress chunked: %v", err)
-		}
-		blob, st = res.Blob, res.Stats
-	} else {
-		res, err := CompressBaseline(field, opts)
-		if err != nil {
-			t.Fatalf("compress: %v", err)
-		}
-		blob, st = res.Blob, res.Stats
+	if !chunked {
+		chunkVoxels = 0
 	}
+	opts.ChunkVoxels = chunkVoxels
+	res, err := compressBlob(field, nil, nil, opts)
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	blob, st := res.Blob, res.Stats
 	spec, err := PayloadLevelSpec(blob)
 	if err != nil {
 		t.Fatalf("level spec: %v", err)
@@ -71,21 +65,11 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 	plain := opts
 	plain.Progressive = nil
 	plain.prog = nil
-	var refBlob []byte
-	if chunked {
-		res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: plain, ChunkVoxels: chunkVoxels})
-		if err != nil {
-			t.Fatalf("compress plain: %v", err)
-		}
-		refBlob = res.Blob
-	} else {
-		res, err := CompressBaseline(field, plain)
-		if err != nil {
-			t.Fatalf("compress plain: %v", err)
-		}
-		refBlob = res.Blob
+	refRes, err := compressBlob(field, nil, nil, plain)
+	if err != nil {
+		t.Fatalf("compress plain: %v", err)
 	}
-	ref, err := Decompress(refBlob, nil)
+	ref, err := Decompress(refRes.Blob, nil)
 	if err != nil {
 		t.Fatalf("decompress plain: %v", err)
 	}
@@ -199,23 +183,14 @@ func TestProgressiveHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchors := []*tensor.Tensor{anchor}
-	for _, chunked := range []bool{false, true} {
-		opts := Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}
-		var blob []byte
-		var st Stats
-		if chunked {
-			res, err := CompressChunked(target, m, anchors, ChunkedOptions{Options: opts, ChunkVoxels: 120})
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, st = res.Blob, res.Stats
-		} else {
-			res, err := CompressHybrid(target, m, anchors, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, st = res.Blob, res.Stats
+	for _, voxels := range []int{0, 120} {
+		chunked := voxels > 0
+		opts := Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}, ChunkVoxels: voxels}
+		res, err := compressBlob(target, m, anchors, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		blob, st := res.Blob, res.Stats
 		spec, err := PayloadLevelSpec(blob)
 		if err != nil {
 			t.Fatal(err)
@@ -238,22 +213,11 @@ func TestProgressiveHybrid(t *testing.T) {
 			}
 			prev = measured
 		}
-		plainOpts := Options{Bound: quant.RelBound(1e-3)}
-		var refBlob []byte
-		if chunked {
-			res, err := CompressChunked(target, m, anchors, ChunkedOptions{Options: plainOpts, ChunkVoxels: 120})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refBlob = res.Blob
-		} else {
-			res, err := CompressHybrid(target, m, anchors, plainOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refBlob = res.Blob
+		refRes, err := compressBlob(target, m, anchors, Options{Bound: quant.RelBound(1e-3), ChunkVoxels: voxels})
+		if err != nil {
+			t.Fatal(err)
 		}
-		ref, err := Decompress(refBlob, anchors)
+		ref, err := Decompress(refRes.Blob, anchors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +241,7 @@ func TestProgressivePrefixReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	field := synthField(rng, 8, 15, 11)
 	opts := Options{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 4}}
-	res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: 300})
+	res, err := compressBlob(field, nil, nil, withChunkVoxels(opts, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +304,12 @@ func TestProgressiveOptionErrors(t *testing.T) {
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 2}, Blocks: BlockSpec{Enable: true}},
 	}
 	for i, opts := range cases {
-		if _, err := CompressBaseline(field, opts); err == nil {
+		if _, err := compressBlob(field, nil, nil, opts); err == nil {
 			t.Errorf("case %d: expected option error, got none", i)
 		}
 	}
 	// Non-layered payloads refuse refinement levels.
-	res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(1e-3)})
+	res, err := compressBlob(field, nil, nil, Options{Bound: quant.AbsBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}

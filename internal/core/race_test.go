@@ -26,8 +26,9 @@ func TestHybridChunkedSharedSlabRace(t *testing.T) {
 
 	// Compression side: one shared inference pass, four concurrent chunk
 	// workers reading its slabs.
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05), AnchorNames: []string{"self"}},
+	res, err := compressBlob(target, model, anchors, Options{
+		Bound:       quant.AbsBound(0.05),
+		AnchorNames: []string{"self"},
 		ChunkVoxels: 2 * 16 * 16, // 6 chunks
 		Workers:     4,
 	})

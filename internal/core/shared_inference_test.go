@@ -17,9 +17,9 @@ import (
 // predicted-diff fields through the common downstream pipeline. It is the
 // retained reference the shared-inference engine must match byte for
 // byte.
-func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts ChunkedOptions) []byte {
+func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts Options) []byte {
 	t.Helper()
-	o := opts.Options.withDefaults()
+	o := opts.withDefaults()
 	eb, err := resolveEB(field, o.Bound)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, model *cfnn.Mode
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := compressCrossFieldDQ(sub, dq, nil, chunkOpts, container.MethodHybrid, eb)
+		res, err := compressPayload(sub, dq, nil, container.MethodHybrid, eb, chunkOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,12 +108,8 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 			}
 			anchors := []*tensor.Tensor{target.Clone()}
 			model := trainTinyModel(t, anchors, target)
-			opts := ChunkedOptions{
-				Options:     Options{Bound: quant.AbsBound(0.04), AnchorNames: []string{"self"}},
-				ChunkVoxels: c.chunkVoxels,
-				Workers:     c.workers,
-			}
-			res, err := CompressChunked(target, model, anchors, opts)
+			opts := Options{Bound: quant.AbsBound(0.04), AnchorNames: []string{"self"}, ChunkVoxels: c.chunkVoxels, Workers: c.workers}
+			res, err := compressBlob(target, model, anchors, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

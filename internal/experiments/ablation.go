@@ -6,6 +6,7 @@ import (
 
 	crossfield "repro"
 	"repro/internal/cfnn"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -65,11 +66,12 @@ func AblationPredictors(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	crossRes, err := core.CompressCrossOnly(p.target.Tensor(), p.codec.Model(), fieldTensorsOf(anchorsDec), core.Options{Bound: bound})
+	crossSt, err := core.Compress(io.Discard, p.target.Tensor(), p.codec.Model(), fieldTensorsOf(anchorsDec),
+		core.Options{Bound: bound, Method: container.MethodCrossOnly})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  %-22s %8.4f bits/val\n", "cross-field only", crossRes.Stats.CodeEntropy)
+	fmt.Fprintf(w, "  %-22s %8.4f bits/val\n", "cross-field only", crossSt.CodeEntropy)
 
 	hybRes, err := p.codec.Compress(p.target, anchorsDec, bound)
 	if err != nil {
@@ -169,12 +171,12 @@ func AblationAttention(w io.Writer, s Sizes) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.CompressHybrid(target.Tensor(), m, fieldTensorsOf(anchorsDec), core.Options{Bound: bound})
+		st, err := core.Compress(io.Discard, target.Tensor(), m, fieldTensorsOf(anchorsDec), core.Options{Bound: bound})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  %-16s params %6d | cross-pred PSNR %6.2f dB | hybrid CR %6.2f\n",
-			variant.name, m.ParamCount(), rep.PSNRCross, res.Stats.Ratio)
+			variant.name, m.ParamCount(), rep.PSNRCross, st.Ratio)
 	}
 	return nil
 }

@@ -168,21 +168,18 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 	dims := p.target.Dims()
 	slab := p.target.Len() / dims[0]
 	chunkVox := (dims[0] / 2) * slab // two chunks along the slowest axis
-	seqRes, err := core.CompressChunked(p.target.Tensor(), p.codec.Model(), anchorT, core.ChunkedOptions{
-		Options: core.Options{Bound: bound}, ChunkVoxels: chunkVox,
-	})
-	if err != nil {
+	var seqBuf, blkBuf bytes.Buffer
+	if _, err := core.Compress(&seqBuf, p.target.Tensor(), p.codec.Model(), anchorT,
+		core.Options{Bound: bound, ChunkVoxels: chunkVox}); err != nil {
 		return err
 	}
-	blkRes, err := core.CompressChunked(p.target.Tensor(), p.codec.Model(), anchorT, core.ChunkedOptions{
-		Options:     core.Options{Bound: bound, Blocks: core.BlockSpec{Enable: true, Edge: 12}},
-		ChunkVoxels: chunkVox,
-	})
+	blkSt, err := core.Compress(&blkBuf, p.target.Tensor(), p.codec.Model(), anchorT,
+		core.Options{Bound: bound, ChunkVoxels: chunkVox, Blocks: core.BlockSpec{Enable: true, Edge: 12}})
 	if err != nil {
 		return err
 	}
 	mode := "wavefront"
-	if blkRes.Stats.BlockMode == container.BlockIndependent {
+	if blkSt.BlockMode == container.BlockIndependent {
 		mode = "independent"
 	}
 
@@ -213,7 +210,7 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 		return best * 1000, t.Data(), nil
 	}
 
-	seqMS, seqVals, err := timeDecode(seqRes.Blob, 1)
+	seqMS, seqVals, err := timeDecode(seqBuf.Bytes(), 1)
 	if err != nil {
 		return err
 	}
@@ -223,12 +220,12 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 	})
 	fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms\n", "sequential", 1, seqMS)
 
-	profile, err := core.ProfileChunkBlocks(blkRes.Blob, ci, anchorT)
+	profile, err := core.ProfileChunkBlocks(blkBuf.Bytes(), ci, anchorT)
 	if err != nil {
 		return err
 	}
 	for _, nw := range []int{1, 2, 4} {
-		ms, vals, err := timeDecode(blkRes.Blob, nw)
+		ms, vals, err := timeDecode(blkBuf.Bytes(), nw)
 		if err != nil {
 			return err
 		}

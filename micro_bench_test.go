@@ -4,6 +4,8 @@ package crossfield_test
 // into where the codec spends time and allocations.
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -217,18 +219,12 @@ func BenchmarkHybridChunkedCompress(b *testing.B) {
 	const nz, ny, nx = 16, 48, 48
 	m, anchors := benchModel(b, nz, ny, nx)
 	target := anchors[0].Clone()
-	opts := core.ChunkedOptions{
-		Options:     core.Options{Bound: quant.RelBound(1e-3)},
-		ChunkVoxels: nz * ny * nx / 8,
-		Workers:     1,
-	}
-	if _, err := core.CompressChunked(target, m, anchors, opts); err != nil {
-		b.Fatal(err)
-	}
+	opts := core.Options{Bound: quant.RelBound(1e-3), ChunkVoxels: nz * ny * nx / 8, Workers: 1}
+	coreCompress(b, target, m, anchors, opts)
 	b.SetBytes(int64(target.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompressChunked(target, m, anchors, opts); err != nil {
+		if _, err := core.Compress(io.Discard, target, m, anchors, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,21 +234,25 @@ func BenchmarkHybridChunkedDecompress(b *testing.B) {
 	const nz, ny, nx = 16, 48, 48
 	m, anchors := benchModel(b, nz, ny, nx)
 	target := anchors[0].Clone()
-	res, err := core.CompressChunked(target, m, anchors, core.ChunkedOptions{
-		Options:     core.Options{Bound: quant.RelBound(1e-3)},
-		ChunkVoxels: nz * ny * nx / 8,
-		Workers:     1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	blob, _ := coreCompress(b, target, m, anchors, core.Options{Bound: quant.RelBound(1e-3), ChunkVoxels: nz * ny * nx / 8, Workers: 1})
 	b.SetBytes(int64(target.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecompressChunkedWith(res.Blob, anchors, 1); err != nil {
+		if _, err := core.DecompressChunkedWith(blob, anchors, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// coreCompress runs core.Compress into memory.
+func coreCompress(tb testing.TB, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts core.Options) ([]byte, *core.Stats) {
+	tb.Helper()
+	var buf bytes.Buffer
+	st, err := core.Compress(&buf, field, model, anchors, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), st
 }
 
 func BenchmarkFlateStage(b *testing.B) {

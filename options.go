@@ -3,6 +3,7 @@ package crossfield
 import (
 	"fmt"
 
+	"repro/internal/chunk"
 	"repro/internal/core"
 )
 
@@ -17,8 +18,7 @@ type Option interface {
 
 // compressConfig is the resolved option set.
 type compressConfig struct {
-	chunked     bool
-	chunkVoxels int
+	chunkVoxels int // 0 = monolithic
 	workers     int
 	blocks      bool
 	blockEdge   int
@@ -27,13 +27,17 @@ type compressConfig struct {
 	timings     *DatasetTimings
 }
 
-// blockSpec translates the resolved block options into the core spec.
-func (c *compressConfig) blockSpec() core.BlockSpec {
-	return core.BlockSpec{Enable: c.blocks, Edge: c.blockEdge}
+// coreOptions translates the resolved options into core.Options for one
+// field compressed under bound.
+func (c *compressConfig) coreOptions(bound ErrorBound) core.Options {
+	return core.Options{
+		Bound:       bound,
+		ChunkVoxels: c.chunkVoxels,
+		Workers:     c.workers,
+		Blocks:      core.BlockSpec{Enable: c.blocks, Edge: c.blockEdge},
+		Progressive: c.progressive,
+	}
 }
-
-// progSpec returns the resolved progressive spec (nil when not layered).
-func (c *compressConfig) progSpec() *core.ProgressiveSpec { return c.progressive }
 
 // optionFunc adapts a closure to the Option interface.
 type optionFunc func(*compressConfig) error
@@ -49,8 +53,10 @@ func WithChunks(voxels int) Option {
 		if voxels < 0 {
 			return fmt.Errorf("crossfield: WithChunks(%d): chunk voxels must be >= 0 (0 = default)", voxels)
 		}
-		c.chunked = true
 		c.chunkVoxels = voxels
+		if voxels == 0 {
+			c.chunkVoxels = chunk.DefaultChunkVoxels
+		}
 		return nil
 	})
 }
@@ -62,7 +68,9 @@ func WithWorkers(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("crossfield: WithWorkers(%d): workers must be >= 0 (0 = GOMAXPROCS)", n)
 		}
-		c.chunked = true
+		if c.chunkVoxels == 0 {
+			c.chunkVoxels = chunk.DefaultChunkVoxels
+		}
 		c.workers = n
 		return nil
 	})
